@@ -24,16 +24,13 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    concat,
+    causal_attention,
     gather_rows,
-    masked_fill,
     matmul,
     narrow,
     power,
     silu,
-    softmax_axis,
     tmean,
-    transpose,
 )
 
 MASK_VALUE = -1e30
@@ -136,22 +133,17 @@ def causal_mask(length: int) -> np.ndarray:
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
               num_heads: int, mask: np.ndarray) -> Tensor:
-    """Causal multi-head attention over one sample's (padded) positions."""
-    length, hidden = x.shape
-    head_dim = hidden // num_heads
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    scale = head_dim**-0.5
-    heads = []
-    for hd in range(num_heads):
-        qh = narrow(q, 1, hd * head_dim, head_dim)
-        kh = narrow(k, 1, hd * head_dim, head_dim)
-        vh = narrow(v, 1, hd * head_dim, head_dim)
-        scores = matmul(qh, transpose(kh)) * scale
-        probs = softmax_axis(masked_fill(scores, mask, MASK_VALUE), 1)
-        heads.append(matmul(probs, vh))
-    return matmul(concat(heads, axis=1), wo)
+    """Causal multi-head attention over a flattened batch of padded samples.
+
+    ``x`` is [B*L x hidden], every sample padded to the L = ``mask.shape[0]``
+    rows of its block, so B = 1 is a single sequence. Three projections, one
+    blocked attention tape op (:func:`causal_attention`) and the output
+    projection: five tape nodes per layer whatever B and the head count.
+    """
+    heads = causal_attention(
+        matmul(x, wq), matmul(x, wk), matmul(x, wv), num_heads, mask, MASK_VALUE
+    )
+    return matmul(heads, wo)
 
 
 def _validate_tokens(tokens: Sequence[int], config: DenseConfig) -> np.ndarray:

@@ -8,7 +8,9 @@ the per-layer (W_tok, W_seg) pair and added to the residual stream.
 
 Segment routing is batch-global: the whole batch's segments compete for the
 experts' capacity, so the batch forward flattens samples into one
-[B * max_seq_len, hidden] matrix. Attention still runs per sample.
+[B * max_seq_len, hidden] matrix. Every layer runs on that matrix, attention
+included: one blocked attention op per layer keeps each sample's causal
+[max_seq_len x max_seq_len] block to itself.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .segment_moe import (
     partition_segments,
     segment_moe_forward,
 )
-from .tensor import Parameter, Tensor, concat, gather_rows, narrow
+from .tensor import Parameter, Tensor, gather_rows
 from .token_moe import (
     GateAssignment,
     TokenMoEConfig,
@@ -145,19 +147,15 @@ def hybrid_forward_batch(
     for l in range(cfg.num_layers):
         pre = f"layer.{l}"
         normed = rmsnorm(x, ckpt.param(f"{pre}.norm1").value)
-        att_rows = [
-            attention(
-                narrow(normed, 0, b * L, L),
-                ckpt.param(f"{pre}.attn.wq").value,
-                ckpt.param(f"{pre}.attn.wk").value,
-                ckpt.param(f"{pre}.attn.wv").value,
-                ckpt.param(f"{pre}.attn.wo").value,
-                cfg.num_heads,
-                mask,
-            )
-            for b in range(B)
-        ]
-        h = x + (att_rows[0] if B == 1 else concat(att_rows, axis=0))
+        h = x + attention(
+            normed,
+            ckpt.param(f"{pre}.attn.wq").value,
+            ckpt.param(f"{pre}.attn.wk").value,
+            ckpt.param(f"{pre}.attn.wv").value,
+            ckpt.param(f"{pre}.attn.wo").value,
+            cfg.num_heads,
+            mask,
+        )
         u = rmsnorm(h, ckpt.param(f"{pre}.norm2").value)
 
         scores = token_affinity_scores(ckpt.param(f"{pre}.token_router"), u)

@@ -1,6 +1,7 @@
 """Run orchestration: corpus in, checkpoints + JSONL metrics + reports out.
 
-A run directory accumulates ``metrics.jsonl`` (one record per step),
+A run directory accumulates ``metrics.jsonl`` (one record per step; a
+resumed run first drops the records from its start step on),
 periodic ``step_N.ckpt`` snapshots, a ``final.ckpt``, a per-language
 ``perplexity.json``, and — for hybrid models — the routing report files.
 Resuming from a snapshot replays the identical remaining steps because
@@ -41,6 +42,29 @@ def _load_model(settings: RunSettings):
     return init_dense(config, seed=settings.init_seed)
 
 
+def _truncate_metrics(path: Path, start_step: int) -> None:
+    """Keep only the records of steps before ``start_step``.
+
+    A run resumed from ``step_k.ckpt`` then writes every later step exactly
+    once, however far the interrupted run got. A torn last line (a crash in
+    mid-write) is dropped; a malformed line anywhere else is an error.
+    """
+    if not path.exists():
+        return
+    lines = path.read_text().splitlines()
+    kept = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            step = json.loads(line)["step"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            if lineno == len(lines):
+                break
+            raise ValueError(f"{path}:{lineno}: malformed metrics record {line!r}") from None
+        if step < start_step:
+            kept.append(line + "\n")
+    path.write_text("".join(kept))
+
+
 def train_run(settings: RunSettings, quiet: bool = False) -> dict:
     """Execute one training run per the settings; returns a summary dict."""
     corpus_dir = Path(settings.corpus_dir)
@@ -73,6 +97,7 @@ def train_run(settings: RunSettings, quiet: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
     start_step = int(model.meta.get("step", 0))
+    _truncate_metrics(metrics_path, start_step)
 
     for step in range(start_step, settings.steps):
         samples, targets, _ = sample_batch(

@@ -47,6 +47,12 @@ class SegmentMoEConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.capacity_factor < 1:
             raise ValueError(f"capacity_factor must be >= 1, got {self.capacity_factor}")
+        if self.capacity_factor > self.num_experts:
+            # r = floor(V * c / N) would exceed the V segments there are to pick.
+            raise ValueError(
+                f"capacity_factor {self.capacity_factor} exceeds num_experts "
+                f"{self.num_experts}: each expert would need more segments than exist"
+            )
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
 

@@ -3,7 +3,13 @@
 Thin tape-based autograd over numpy arrays. Arrays are row-major float64
 throughout; every op checks shapes eagerly and raises ``ShapeError`` with both
 offending shapes in the message. Nodes that no gradient can reach carry no
-tape, so inference-only passes build no graph.
+tape, so inference-only passes build no graph, and every backward computes a
+gradient product only for the operands that require grad (frozen weights
+never get one).
+
+A ``.grad`` array is never mutated in place. A second contribution rebinds it
+to a fresh sum, so a backward may hand the same array, or a read-only view of
+it, to several parents without copying.
 
 Gradient verification never trusts this tape: ``finite_diff_grad`` is an
 independent central-difference oracle that perturbs raw parameter storage.
@@ -134,11 +140,13 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def _accum(parent: Tensor, g: np.ndarray) -> None:
-    if not parent.requires_grad:
-        return
-    if parent.grad is None:
-        parent.grad = np.zeros_like(parent.data)
-    parent.grad += g
+    """Add ``g`` to ``parent.grad`` without writing in place.
+
+    ``g`` may alias another node's gradient. Callers skip operands without
+    ``requires_grad``; a single-input op needs no check, since its node is on
+    the tape only when its input requires grad.
+    """
+    parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -160,8 +168,10 @@ def add(a: Tensor, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -171,8 +181,10 @@ def sub(a: Tensor, b) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -182,8 +194,10 @@ def mul(a: Tensor, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -193,8 +207,10 @@ def div(a: Tensor, b) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -258,8 +274,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _node(out_data, (a, b), backward)
 
@@ -342,10 +360,9 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     out_data = a.data[rows]
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, rows, g)
-            _accum(a, ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, rows, g)
+        _accum(a, ga)
 
     return _node(out_data, (a,), backward)
 
@@ -373,10 +390,9 @@ def take_along_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     rows = np.broadcast_to(np.arange(a.shape[0])[:, None], idx.shape)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (rows, idx), g)
-            _accum(a, ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (rows, idx), g)
+        _accum(a, ga)
 
     return _node(out_data, (a,), backward)
 
@@ -403,10 +419,9 @@ def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     out_data = a.data[rows, cols]
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (rows, cols), g)
-            _accum(a, ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (rows, cols), g)
+        _accum(a, ga)
 
     return _node(out_data, (a,), backward)
 
@@ -420,10 +435,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out_data = a.data[sl].copy()
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[sl] = g
-            _accum(a, ga)
+        ga = np.zeros_like(a.data)
+        ga[sl] = g
+        _accum(a, ga)
 
     return _node(out_data, (a,), backward)
 
@@ -436,9 +450,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(g):
         offset = 0
         for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + size)
-            _accum(t, g[tuple(sl)])
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(offset, offset + size)
+                _accum(t, g[tuple(sl)])
             offset += size
 
     return _node(out_data, tuple(tensors), backward)
@@ -464,6 +479,88 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
         _accum(a, np.where(mask, 0.0, g))
 
     return _node(out_data, (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+                     mask: np.ndarray, fill: float) -> Tensor:
+    """Masked multi-head softmax attention over a flattened batch, as one tape op.
+
+    ``q``, ``k`` and ``v`` are [B*L x hidden]: sample b owns rows b*L..(b+1)*L
+    and head h owns columns h*d..(h+1)*d. ``mask`` is [L x L] and true where a
+    query must not see a key; those scores are *set* to ``fill``. The work
+    runs one (sample, head) block at a time so that each [L x L] block stays
+    in cache, as in FlashAttention (Dao et al. 2022) but without its online
+    softmax. Each block repeats the arithmetic of the op-by-op graph it
+    replaces, so results are bitwise those of (q k^T) d^-1/2, a masked set, a
+    max-shifted softmax and probs @ v. The probabilities are kept for the
+    backward only when an input requires grad.
+    """
+    q, k, v = constant(q), constant(k), constant(v)
+    mask = np.asarray(mask, dtype=bool)
+    length = mask.shape[0]
+    if mask.shape != (length, length):
+        raise ShapeError(f"causal_attention: mask must be square, got {mask.shape}")
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"causal_attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape}")
+    rows, hidden = q.shape
+    if rows % length or hidden % num_heads:
+        raise ShapeError(
+            f"causal_attention: {q.shape} does not split into [L={length}] samples "
+            f"and {num_heads} heads"
+        )
+    d = hidden // num_heads
+    scale = d**-0.5
+    blocks = [
+        (slice(b * length, (b + 1) * length), slice(h * d, (h + 1) * d))
+        for b in range(rows // length)
+        for h in range(num_heads)
+    ]
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    probs: list[np.ndarray] = []
+    out_data = np.empty_like(q.data)
+    # Operands are contiguous copies laid out as in the op-by-op graph
+    # (narrow, transpose), so BLAS takes the same path and rounds the same.
+    # The [L x L] temporaries are scratch arrays, not gradients: updated in place.
+    for r, c in blocks:
+        p = np.ascontiguousarray(q.data[r, c]) @ np.ascontiguousarray(k.data[r, c].T)
+        np.multiply(p, scale, out=p)
+        np.copyto(p, fill, where=mask)
+        np.subtract(p, p.max(axis=1, keepdims=True), out=p)
+        np.exp(p, out=p)
+        np.divide(p, p.sum(axis=1, keepdims=True), out=p)
+        out_data[r, c] = p @ np.ascontiguousarray(v.data[r, c])
+        if keep:
+            probs.append(p)
+
+    def backward(g):
+        need_ds = q.requires_grad or k.requires_grad
+        dq = np.empty_like(q.data) if q.requires_grad else None
+        dk = np.empty_like(k.data) if k.requires_grad else None
+        dv = np.empty_like(v.data) if v.requires_grad else None
+        for (r, c), p in zip(blocks, probs):
+            g_out = g[r, c]
+            if dv is not None:
+                dv[r, c] = p.T @ g_out
+            if not need_ds:
+                continue
+            ds = g_out @ np.ascontiguousarray(v.data[r, c]).T  # dP, turned into dS in place
+            np.subtract(ds, (ds * p).sum(axis=1, keepdims=True), out=ds)
+            np.multiply(p, ds, out=ds)
+            np.copyto(ds, 0.0, where=mask)
+            np.multiply(ds, scale, out=ds)
+            if dq is not None:
+                dq[r, c] = ds @ np.ascontiguousarray(k.data[r, c].T).T
+            if dk is not None:
+                dk[r, c] = (np.ascontiguousarray(q.data[r, c]).T @ ds).T
+        for t, grad in ((q, dq), (k, dk), (v, dv)):
+            if grad is not None:
+                _accum(t, grad)
+
+    return _node(out_data, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ from .tensor import (
     Tensor,
     gather_rows,
     matmul,
+    narrow,
     reshape,
     scatter_cols,
     scatter_rows,
     softmax_axis,
     take_along_cols,
     take_pairs,
+    top_k_rows,
     tsum,
 )
 
@@ -109,13 +111,12 @@ def compute_token_gates(scores: Tensor, cfg: TokenMoEConfig, mode: str) -> GateA
     k = cfg.top_k
 
     if mode == "vanilla":
-        order = np.argsort(-scores.data, axis=1, kind="stable")[:, :k].astype(np.int64)
+        order = top_k_rows(scores.data, k)
         gates = take_along_cols(scores, order)
         return GateAssignment(mode, cfg.num_experts, k, order, gates, scores, None)
 
     # shared-normalized: slot 0 is forced, then the best K-1 routed experts.
-    routed = scores.data[:, 1:]
-    routed_order = np.argsort(-routed, axis=1, kind="stable")[:, : k - 1].astype(np.int64) + 1
+    routed_order = top_k_rows(scores.data[:, 1:], k - 1) + 1
     indices = np.concatenate([np.zeros((T, 1), dtype=np.int64), routed_order], axis=1)
     selected = take_along_cols(scores, indices)
     norm = tsum(selected, axis=1, keepdims=True)
@@ -142,7 +143,15 @@ def token_moe_forward(
     if x.shape[0] != assign.indices.shape[0]:
         raise ShapeError(f"token count disagrees: x {x.shape} vs gates {assign.indices.shape}")
     out = None
-    for i, (w1, w2) in enumerate(experts):
+    start = 0
+    if (assign.indices[:, 0] == 0).all():
+        # Expert 0 sits in slot 0 of every token (always so in shared-normalized
+        # mode): it runs on x as is, with no gather and no scatter.
+        w1, w2 = shared_expert
+        out = ffn_forward(x, w1, w2) * narrow(assign.gates, 1, 0, 1)
+        start = 1
+    for i in range(start, len(experts)):
+        w1, w2 = experts[i]
         rows, slots = np.nonzero(assign.indices == i)
         if rows.size == 0:
             continue

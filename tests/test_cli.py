@@ -190,3 +190,34 @@ class TestResume:
         for record in resumed:
             assert record["l_ntp"] == by_step[record["step"]]["l_ntp"]
             assert record["total"] == by_step[record["step"]]["total"]
+
+    def test_resume_after_crash_keeps_one_record_per_step(self, workspace, monkeypatch):
+        """A run dies after its step-3 snapshot, having logged steps 0-4 and part
+        of 5; resuming in the same directory must leave one record per step."""
+        import hymoe.run as run_mod
+
+        corpus = workspace / "corpus"
+        out = workspace / "crash_run"
+        cfg_path = write_cfg(workspace / "crash.cfg", TINY_DENSE_CFG,
+                             corpus_dir=str(corpus), out_dir=str(out))
+        real_step = run_mod.training_step
+
+        def dies_at_step_5(model, samples, targets, cfg, step):
+            if step == 5:
+                raise RuntimeError("simulated crash")
+            return real_step(model, samples, targets, cfg, step)
+
+        monkeypatch.setattr(run_mod, "training_step", dies_at_step_5)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            train_run(load_settings(cfg_path), quiet=True)
+        monkeypatch.setattr(run_mod, "training_step", real_step)
+        crashed = (out / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["step"] for line in crashed] == [0, 1, 2, 3, 4]
+        with open(out / "metrics.jsonl", "a") as fh:
+            fh.write('{"step": 5, "l_nt')  # torn by the crash in mid-write
+
+        train_run(load_settings(cfg_path, init_checkpoint=str(out / "step_3.ckpt")), quiet=True)
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in records] == list(range(6))
+        # the kept records are the crashed run's own, byte for byte
+        assert [json.dumps(r) for r in records[:3]] == crashed[:3]

@@ -109,6 +109,13 @@ class TestCapacity:
         with pytest.raises(ValueError):
             compute_capacity(0, cfg())
 
+    def test_capacity_factor_above_expert_count_rejected(self):
+        # r = floor(V * 4 / 3) > V for every V >= 3: the forward pass would
+        # fail mid-run, so the config refuses it up front.
+        with pytest.raises(ValueError, match="capacity_factor 4.0 exceeds num_experts 3"):
+            SegmentMoEConfig(num_experts=3, window=8, capacity_factor=4.0)
+        assert compute_capacity(4, cfg(n=3, c=3.0)) == 4  # c = N: every expert takes all
+
 
 def route(gate_rows: np.ndarray, r: int) -> ExpertChoiceAssignment:
     """Build an assignment from a given [N x V] gate matrix (bypasses the router)."""
@@ -175,7 +182,9 @@ class TestExpertChoiceRoute:
         for _ in range(50):
             n = int(rng.integers(1, 6))
             v = int(rng.integers(n, 20))
-            c = float(rng.integers(1, 3))
+            # capacity_factor > num_experts is rejected by the config itself
+            # (TestCapacity); clamp after the draw to keep the random stream.
+            c = min(float(rng.integers(1, 3)), n)
             cfg_rand = cfg(n=n, c=c, hidden=4)
             r_raw = compute_capacity(v, cfg_rand)
             r = min(r_raw, v)

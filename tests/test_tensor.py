@@ -8,6 +8,7 @@ from hymoe.tensor import (
     ShapeError,
     Tensor,
     backward,
+    causal_attention,
     concat,
     exp,
     finite_diff_grad,
@@ -271,3 +272,115 @@ def test_parameter_trainable_flag_controls_grad():
     backward(loss)
     assert frozen.value.grad is None
     assert live.value.grad is not None
+
+
+def _check_grads(build, params, tol=1e-6):
+    """Analytic gradients of build() for every trainable parameter vs central
+    differences; frozen parameters must receive no gradient at all."""
+    backward(build())
+    analytic = {p.name: None if p.grad is None else p.grad.copy() for p in params}
+    for p in params:
+        p.zero_grad()
+    for p in params:
+        if not p.trainable:
+            assert analytic[p.name] is None, f"frozen {p.name} received a gradient"
+            continue
+        numeric = finite_diff_grad(lambda: build().item(), p)
+        err = relative_error(analytic[p.name], numeric)
+        assert err <= tol, f"{p.name}: gradient mismatch, rel err {err}"
+
+
+def _reference_attention(q, k, v, num_heads, mask, fill):
+    """The op-by-op graph the blocked op replaces: one (sample, head) at a time."""
+    length = mask.shape[0]
+    d = q.shape[1] // num_heads
+    samples = []
+    for b in range(q.shape[0] // length):
+        heads = []
+        for h in range(num_heads):
+            qh = narrow(narrow(q, 0, b * length, length), 1, h * d, d)
+            kh = narrow(narrow(k, 0, b * length, length), 1, h * d, d)
+            vh = narrow(narrow(v, 0, b * length, length), 1, h * d, d)
+            scores = matmul(qh, transpose(kh)) * d**-0.5
+            probs = softmax_axis(masked_fill(scores, mask, fill), 1)
+            heads.append(matmul(probs, vh))
+        samples.append(concat(heads, axis=1))
+    return concat(samples, axis=0)
+
+
+def _causal(length):
+    return np.triu(np.ones((length, length), dtype=bool), k=1)
+
+
+class TestCausalAttention:
+    # B = 3 samples of padded length L = 5, 2 heads of width 3.
+    B, L, HEADS, HIDDEN = 3, 5, 2, 6
+
+    def _params(self, frozen: str | None = None, seed=0):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(self.B * self.L, self.HIDDEN)))
+        ws = {n: Parameter(n, rng.normal(0, 0.6, size=(self.HIDDEN, self.HIDDEN)),
+                           trainable=(n != frozen)) for n in ("wq", "wk", "wv")}
+        return x, ws
+
+    @pytest.mark.parametrize("frozen", [None, "wq", "wk", "wv"])
+    def test_gradients_match_finite_differences(self, frozen):
+        x, ws = self._params(frozen)
+        weight = Tensor(np.random.default_rng(9).normal(size=(self.B * self.L, self.HIDDEN)))
+        mask = _causal(self.L)
+
+        def build():
+            out = causal_attention(matmul(x, ws["wq"].value), matmul(x, ws["wk"].value),
+                                   matmul(x, ws["wv"].value), self.HEADS, mask, -1e30)
+            return tsum(out * weight)
+
+        _check_grads(build, list(ws.values()))
+
+    def test_frozen_inputs_build_no_tape(self):
+        x, _ = self._params()
+        out = causal_attention(x, x, x, self.HEADS, _causal(self.L), -1e30)
+        assert not out.requires_grad and out._parents == ()
+
+    def test_equals_per_sample_per_head_reference(self):
+        rng = np.random.default_rng(1)
+        shape = (self.B * self.L, self.HIDDEN)
+        inputs = [rng.normal(size=shape) for _ in range(3)]
+        upstream = Tensor(rng.normal(size=shape))
+        mask = _causal(self.L)
+        results = []
+        for op in (causal_attention, _reference_attention):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+            out = op(*leaves, self.HEADS, mask, -1e30)
+            backward(tsum(out * upstream))
+            results.append((out.data, [t.grad for t in leaves]))
+        (out, grads), (ref_out, ref_grads) = results
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_rejects_shapes_that_do_not_split(self):
+        x = Tensor(np.ones((7, 6)))
+        with pytest.raises(ShapeError):
+            causal_attention(x, x, x, 2, _causal(5), -1e30)
+        with pytest.raises(ShapeError):
+            causal_attention(x, x, x, 4, _causal(7), -1e30)
+
+
+@pytest.mark.parametrize("second_first", [False, True])
+def test_shared_upstream_gradient_is_never_mutated(second_first):
+    """add hands one array to both parents and reshape passes a view on; a
+    second contribution to one parent must not leak into the other."""
+    rng = np.random.default_rng(8)
+    p1 = Parameter("p1", rng.normal(size=(3, 4)))
+    p2 = Parameter("p2", rng.normal(size=(3, 4)))
+    w = Tensor(rng.normal(size=(4, 3)))
+    extra = Tensor(rng.normal(size=(3, 4)))
+
+    def build():
+        a = p1.value * p1.value
+        b = p2.value + 0.5
+        shared = tsum(reshape(a + b, (4, 3)) * w)
+        again = tsum(a * extra)  # a's second contribution
+        return again + shared if second_first else shared + again
+
+    _check_grads(build, [p1, p2])

@@ -64,6 +64,16 @@ class TestUpcycle:
         with pytest.raises(ValueError, match="hidden_size"):
             upcycle(dense, tok, seg)
 
+    def test_cli_rejects_capacity_above_expert_count_before_writing(self, tmp_path):
+        from hymoe.cli import main
+
+        ckpt_io.save(init_dense(tiny_dense_config(), seed=0), tmp_path / "dense.ckpt")
+        out = tmp_path / "hybrid.ckpt"
+        with pytest.raises(ValueError, match="capacity_factor 4.0 exceeds num_experts 3"):
+            main(["upcycle", "--in", str(tmp_path / "dense.ckpt"), "--out", str(out),
+                  "--seg-experts", "3", "--window", "8", "--capacity-c", "4"])
+        assert not out.exists()
+
 
 class TestFidelity:
     def test_fresh_upcycle_reproduces_dense_logits(self, tiny_pair):
