@@ -10,10 +10,12 @@ Layout on disk::
 Manifest entries carry {name, shape, offset, trainable}; offsets are relative
 to the start of the payload. Dense and hybrid checkpoints share the format,
 hybrid ones simply carry the extra parameter names and config blocks.
+``load`` refuses a payload whose length is not where the manifest ends.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -66,11 +68,21 @@ def _read(path: str | Path) -> tuple[dict, bytes]:
     return header, payload
 
 
-def _load_params(header: dict, payload: bytes) -> dict[str, Parameter]:
+def _count(entry: dict) -> int:
+    return int(np.prod(entry["shape"])) if entry["shape"] else 1
+
+
+def _load_params(path: str | Path, header: dict, payload: bytes) -> dict[str, Parameter]:
+    manifest = header["manifest"]
+    end = manifest[-1]["offset"] + 8 * _count(manifest[-1]) if manifest else 0
+    if len(payload) != end:
+        raise ValueError(
+            f"{path}: payload is {len(payload)} bytes but the manifest ends at byte {end}"
+        )
     params: dict[str, Parameter] = {}
-    for entry in header["manifest"]:
+    for entry in manifest:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = _count(entry)
         start = entry["offset"]
         data = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         params[entry["name"]] = Parameter(
@@ -79,34 +91,10 @@ def _load_params(header: dict, payload: bytes) -> dict[str, Parameter]:
     return params
 
 
-def save_dense(ckpt: DenseCheckpoint, path: str | Path) -> None:
-    manifest, payload = _manifest(ckpt.params)
-    header = {
-        "kind": "dense",
-        "config": ckpt.config.to_dict(),
-        "meta": ckpt.meta,
-        "manifest": manifest,
-    }
-    _write(path, header, payload)
-
-
-def save_hybrid(ckpt, path: str | Path) -> None:
-    manifest, payload = _manifest(ckpt.params)
-    header = {
-        "kind": "hybrid",
-        "config": ckpt.config.to_dict(),
-        "token_moe": ckpt.token_moe.to_dict(),
-        "segment_moe": ckpt.segment_moe.to_dict(),
-        "meta": ckpt.meta,
-        "manifest": manifest,
-    }
-    _write(path, header, payload)
-
-
 def load(path: str | Path):
     """Load either checkpoint kind; returns DenseCheckpoint or HybridCheckpoint."""
     header, payload = _read(path)
-    params = _load_params(header, payload)
+    params = _load_params(path, header, payload)
     config = DenseConfig(**header["config"])
     if header["kind"] == "dense":
         return DenseCheckpoint(config=config, params=params, meta=header.get("meta", {}))
@@ -126,11 +114,16 @@ def load(path: str | Path):
 
 
 def save(ckpt, path: str | Path) -> None:
+    """Write a dense or hybrid checkpoint; each config block is its dataclass's fields."""
     from .hybrid import HybridCheckpoint
 
     if isinstance(ckpt, HybridCheckpoint):
-        save_hybrid(ckpt, path)
+        kind, blocks = "hybrid", ("config", "token_moe", "segment_moe")
     elif isinstance(ckpt, DenseCheckpoint):
-        save_dense(ckpt, path)
+        kind, blocks = "dense", ("config",)
     else:
         raise TypeError(f"cannot save object of type {type(ckpt).__name__}")
+    manifest, payload = _manifest(ckpt.params)
+    header = {"kind": kind, "meta": ckpt.meta, "manifest": manifest}
+    header.update((block, dataclasses.asdict(getattr(ckpt, block))) for block in blocks)
+    _write(path, header, payload)

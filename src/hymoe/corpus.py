@@ -225,11 +225,17 @@ def generate_corpus(
 
 def load_corpus(path: str | Path) -> list[tuple[str, list[int]]]:
     lines: list[tuple[str, list[int]]] = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         if not raw.strip():
             continue
-        tag, ids = raw.split("\t")
-        lines.append((tag, [int(tok) for tok in ids.split()]))
+        fields = raw.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected '<lang>\\t<ids>', got {raw!r}")
+        tag, ids = fields
+        try:
+            lines.append((tag, [int(tok) for tok in ids.split()]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: token ids must be integers, got {ids!r}") from None
     return lines
 
 

@@ -5,18 +5,23 @@ pre-norm causal multi-head attention, a two-matmul SiLU feed-forward, RMS
 norms without bias, and a linear output head. Everything runs in float64 on
 the autodiff tape from :mod:`hymoe.tensor`.
 
-Every sample is padded to ``max_seq_len`` before the layer stack runs and the
-logits are sliced back afterwards. Fixed internal shapes keep prefix logits
-bitwise reproducible: evaluating a sequence and any of its prefixes performs
-identical reductions position by position, so causality holds exactly rather
-than merely within a tolerance. Masked attention scores are *set* to a large
-negative constant (not added to) for the same reason.
+:func:`forward_batch` is the one layer stack of the project. Its FFN slot is
+a callable: the dense model passes each layer's FFN, the hybrid model
+(:mod:`hymoe.hybrid`) its token + segment MoE block, so the upcycled model is
+the dense model with a different FFN, the dense model its one-expert case.
+
+Every sample is padded to ``max_seq_len`` and the batch runs as one flattened
+matrix; the logits are sliced back afterwards. Fixed internal shapes keep
+prefix logits bitwise reproducible: evaluating a sequence and any of its
+prefixes performs identical reductions position by position, so causality
+holds exactly rather than merely within a tolerance. Masked attention scores
+are *set* to a large negative constant (not added to) for the same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,16 +61,6 @@ class DenseConfig:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden_size": self.hidden_size,
-            "num_layers": self.num_layers,
-            "ffn_hidden": self.ffn_hidden,
-            "num_heads": self.num_heads,
-            "max_seq_len": self.max_seq_len,
-        }
 
 
 @dataclass
@@ -127,10 +122,6 @@ def ffn_forward(x: Tensor, w1: Tensor | Parameter, w2: Tensor | Parameter) -> Te
     return matmul(silu(matmul(x, w1)), w2)
 
 
-def causal_mask(length: int) -> np.ndarray:
-    return np.triu(np.ones((length, length), dtype=bool), k=1)
-
-
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
               num_heads: int, mask: np.ndarray) -> Tensor:
     """Causal multi-head attention over a flattened batch of padded samples.
@@ -158,58 +149,68 @@ def _validate_tokens(tokens: Sequence[int], config: DenseConfig) -> np.ndarray:
     return ids
 
 
-def pad_ids(ids: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=np.int64)
-    out[: ids.size] = ids
-    return out
+def head_logits(ckpt, x: Tensor, lengths: Sequence[int], stride: int) -> list[Tensor]:
+    """Final norm + head over a flattened batch; per-sample [T_b x vocab] slices.
+
+    The head multiplies each sample's whole padded block: the product has the
+    same shape whatever the batch, and no sample's gradient is a zero-filled
+    [B * stride x vocab] matrix.
+    """
+    normed = rmsnorm(x, ckpt.param("final_norm").value)
+    head = ckpt.param("head").value
+    return [
+        narrow(matmul(narrow(normed, 0, b * stride, stride), head), 0, 0, t_len)
+        for b, t_len in enumerate(lengths)
+    ]
 
 
-def embed(ckpt: DenseCheckpoint, padded_ids: np.ndarray) -> Tensor:
-    tok = gather_rows(ckpt.param("embed.tok").value, padded_ids)
-    return tok + ckpt.param("embed.pos").value
+def forward_batch(
+    ckpt, ids: Sequence[np.ndarray], ffn: Callable[[int, Tensor], Tensor]
+) -> list[Tensor]:
+    """The layer stack shared by the dense and the hybrid model.
 
-
-def dense_layer(ckpt: DenseCheckpoint, layer: int, x: Tensor, mask: np.ndarray) -> Tensor:
+    ``ids`` are validated token arrays, one per sample. Each is padded to
+    ``max_seq_len`` and the batch runs flattened, [B * max_seq_len x hidden]:
+    embed, then per layer rmsnorm -> attention -> rmsnorm -> ``ffn(layer, u)``
+    (the FFN slot, fed the normed hidden states) with a residual around each
+    half, then the head. Returns each sample's [T_b x vocab] logits.
+    """
     cfg = ckpt.config
-    pre = f"layer.{layer}"
-    normed = rmsnorm(x, ckpt.param(f"{pre}.norm1").value)
-    h = x + attention(
-        normed,
-        ckpt.param(f"{pre}.attn.wq").value,
-        ckpt.param(f"{pre}.attn.wk").value,
-        ckpt.param(f"{pre}.attn.wv").value,
-        ckpt.param(f"{pre}.attn.wo").value,
-        cfg.num_heads,
-        mask,
+    L = cfg.max_seq_len
+    mask = np.triu(np.ones((L, L), dtype=bool), k=1)
+    flat_ids = np.zeros((len(ids), L), dtype=np.int64)  # padded with id 0
+    for b, a in enumerate(ids):
+        flat_ids[b, : a.size] = a
+    x = gather_rows(ckpt.param("embed.tok").value, flat_ids.reshape(-1)) + gather_rows(
+        ckpt.param("embed.pos").value, np.tile(np.arange(L), len(ids))
     )
-    u = rmsnorm(h, ckpt.param(f"{pre}.norm2").value)
-    return h + ffn_forward(u, ckpt.param(f"{pre}.ffn.w1"), ckpt.param(f"{pre}.ffn.w2"))
+    for l in range(cfg.num_layers):
+        pre = f"layer.{l}"
+        normed = rmsnorm(x, ckpt.param(f"{pre}.norm1").value)
+        h = x + attention(
+            normed,
+            ckpt.param(f"{pre}.attn.wq").value,
+            ckpt.param(f"{pre}.attn.wk").value,
+            ckpt.param(f"{pre}.attn.wv").value,
+            ckpt.param(f"{pre}.attn.wo").value,
+            cfg.num_heads,
+            mask,
+        )
+        u = rmsnorm(h, ckpt.param(f"{pre}.norm2").value)
+        x = h + ffn(l, u)
+    return head_logits(ckpt, x, [a.size for a in ids], L)
 
 
-def head_logits(ckpt: DenseCheckpoint, x: Tensor, length: int) -> Tensor:
-    normed = rmsnorm(x, ckpt.param("final_norm").value)
-    logits = matmul(normed, ckpt.param("head").value)
-    return narrow(logits, 0, 0, length)
+def dense_forward_batch(ckpt: DenseCheckpoint, samples: Sequence[Sequence[int]]) -> list[Tensor]:
+    """Per-sample causal logits; the FFN slot holds the layer's dense FFN."""
 
+    def dense_ffn(layer: int, u: Tensor) -> Tensor:
+        pre = f"layer.{layer}.ffn"
+        return ffn_forward(u, ckpt.param(f"{pre}.w1"), ckpt.param(f"{pre}.w2"))
 
-def head_logits_flat(ckpt, x: Tensor, lengths: Sequence[int], stride: int) -> list[Tensor]:
-    """Final norm + head over a flattened batch; per-sample [T_b x vocab] slices."""
-    normed = rmsnorm(x, ckpt.param("final_norm").value)
-    logits = matmul(normed, ckpt.param("head").value)
-    return [narrow(logits, 0, b * stride, t_len) for b, t_len in enumerate(lengths)]
+    return forward_batch(ckpt, [_validate_tokens(s, ckpt.config) for s in samples], dense_ffn)
 
 
 def dense_forward(ckpt: DenseCheckpoint, tokens: Sequence[int]) -> Tensor:
     """Causal logits for one sequence: [T x vocab], position t sees tokens <= t."""
-    ids = _validate_tokens(tokens, ckpt.config)
-    L = ckpt.config.max_seq_len
-    mask = causal_mask(L)
-    x = embed(ckpt, pad_ids(ids, L))
-    for l in range(ckpt.config.num_layers):
-        x = dense_layer(ckpt, l, x, mask)
-    return head_logits(ckpt, x, ids.size)
-
-
-def dense_forward_batch(ckpt: DenseCheckpoint, samples: Sequence[Sequence[int]]) -> list[Tensor]:
-    """Per-sample logits; each sample is an independent graph over shared weights."""
-    return [dense_forward(ckpt, sample) for sample in samples]
+    return dense_forward_batch(ckpt, [tokens])[0]

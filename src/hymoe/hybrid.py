@@ -7,10 +7,11 @@ gates) and the segment-level expert-choice MoE. Their outputs are fused by
 the per-layer (W_tok, W_seg) pair and added to the residual stream.
 
 Segment routing is batch-global: the whole batch's segments compete for the
-experts' capacity, so the batch forward flattens samples into one
-[B * max_seq_len, hidden] matrix. Every layer runs on that matrix, attention
-included: one blocked attention op per layer keeps each sample's causal
-[max_seq_len x max_seq_len] block to itself.
+experts' capacity. The layer stack itself is :func:`hymoe.dense.forward_batch`,
+which runs every sample flattened into one [B * max_seq_len, hidden] matrix;
+:func:`hybrid_forward_batch` plans the segments, hands the stack a closure
+holding each layer's token + segment MoE block and fusion as its FFN slot, and
+collects the routing trace as the layers run.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import (
-    DenseConfig,
-    attention,
-    causal_mask,
-    head_logits_flat,
-    pad_ids,
-    rmsnorm,
-)
+from .dense import DenseCheckpoint, DenseConfig, forward_batch
 from .dense import _validate_tokens  # shared input validation
+# Not called here; bench/workloads.trace_targets() hooks these names.
+from .dense import attention, head_logits as head_logits_flat, rmsnorm  # noqa: F401
 from .segment_moe import (
     ExpertChoiceAssignment,
     FusionWeights,
@@ -41,7 +37,7 @@ from .segment_moe import (
     partition_segments,
     segment_moe_forward,
 )
-from .tensor import Parameter, Tensor, gather_rows
+from .tensor import Parameter, Tensor
 from .token_moe import (
     GateAssignment,
     TokenMoEConfig,
@@ -61,17 +57,7 @@ class HybridCheckpoint:
     params: dict[str, Parameter]
     meta: dict = field(default_factory=dict)
 
-    def param(self, name: str) -> Parameter:
-        try:
-            return self.params[name]
-        except KeyError:
-            raise KeyError(f"checkpoint has no parameter named {name!r}") from None
-
-    def trainable_params(self) -> list[Parameter]:
-        return [p for p in self.params.values() if p.trainable]
-
-    def frozen_params(self) -> list[Parameter]:
-        return [p for p in self.params.values() if not p.trainable]
+    param = DenseCheckpoint.param
 
     def routed_experts(self, layer: int) -> list[tuple[Parameter, Parameter]]:
         return [
@@ -126,10 +112,7 @@ def hybrid_forward_batch(
     cfg = ckpt.config
     ids = [_validate_tokens(s, cfg) for s in samples]
     lengths = tuple(a.size for a in ids)
-    B, L = len(ids), cfg.max_seq_len
-    mask = causal_mask(L)
-    flat_ids = np.concatenate([pad_ids(a, L) for a in ids])
-    pos_ids = np.tile(np.arange(L), B)
+    L = cfg.max_seq_len
     real_rows = np.concatenate(
         [b * L + np.arange(t_len) for b, t_len in enumerate(lengths)]
     ).astype(np.int64)
@@ -139,33 +122,17 @@ def hybrid_forward_batch(
     capacity = (
         compute_capacity(total_segments, ckpt.segment_moe) if total_segments > 0 else 0
     )
-
-    x = gather_rows(ckpt.param("embed.tok").value, flat_ids) + gather_rows(
-        ckpt.param("embed.pos").value, pos_ids
-    )
     traces: list[LayerTrace] = []
-    for l in range(cfg.num_layers):
-        pre = f"layer.{l}"
-        normed = rmsnorm(x, ckpt.param(f"{pre}.norm1").value)
-        h = x + attention(
-            normed,
-            ckpt.param(f"{pre}.attn.wq").value,
-            ckpt.param(f"{pre}.attn.wk").value,
-            ckpt.param(f"{pre}.attn.wv").value,
-            ckpt.param(f"{pre}.attn.wo").value,
-            cfg.num_heads,
-            mask,
-        )
-        u = rmsnorm(h, ckpt.param(f"{pre}.norm2").value)
 
+    def moe_block(l: int, u: Tensor) -> Tensor:
+        pre = f"layer.{l}"
         scores = token_affinity_scores(ckpt.param(f"{pre}.token_router"), u)
         gates = compute_token_gates(scores, ckpt.token_moe, "shared-normalized")
         o_tok = token_moe_forward(
             ckpt.routed_experts(l), ckpt.shared_expert(l), gates, u
         )
 
-        seg_assign = None
-        o_seg = None
+        seg_assign = o_seg = None
         if total_segments > 0:
             seg_emb = embed_segments(plan, u)
             seg_assign = expert_choice_route(
@@ -173,11 +140,10 @@ def hybrid_forward_batch(
             )
             o_seg = segment_moe_forward(ckpt.segment_experts(l), seg_assign, seg_emb)
 
-        fused = fuse_layer_outputs(o_tok, o_seg, plan, ckpt.fusion(l))
-        x = h + fused
         traces.append(LayerTrace(gates=gates, segment_assign=seg_assign))
+        return fuse_layer_outputs(o_tok, o_seg, plan, ckpt.fusion(l))
 
-    logits = head_logits_flat(ckpt, x, lengths, L)
+    logits = forward_batch(ckpt, ids, moe_block)
     return logits, HybridTrace(plan=plan, layers=traces, real_rows=real_rows)
 
 

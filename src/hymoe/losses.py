@@ -10,7 +10,7 @@ tape, so the router is steered away from collapse through the gate values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -95,11 +95,4 @@ class LossReport:
     per_layer_p: list[list[float]]
 
     def to_json_dict(self, step: int) -> dict:
-        return {
-            "step": step,
-            "l_ntp": self.l_ntp,
-            "l_balance": self.l_balance,
-            "total": self.total,
-            "per_layer_f": self.per_layer_f,
-            "per_layer_p": self.per_layer_p,
-        }
+        return {"step": step, **asdict(self)}

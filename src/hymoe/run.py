@@ -17,7 +17,7 @@ from . import checkpoint as ckpt_io
 from .analytics import evaluate_perplexity, routing_analytics
 from .config import RunSettings
 from .corpus import language_streams, load_corpus, mixing_weights, sample_batch
-from .dense import DenseCheckpoint, DenseConfig, init_dense
+from .dense import DenseConfig, init_dense
 from .hybrid import HybridCheckpoint
 from .training import TrainConfig, cosine_lr, training_step, write_metrics_line
 

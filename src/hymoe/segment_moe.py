@@ -8,6 +8,11 @@ load (exactly r segments per expert). Segment outputs are broadcast back to
 their member tokens and fused with the token path through two learned
 matrices, initialized to (identity, zero) so a fresh hybrid layer reproduces
 the token path bit for bit.
+
+Segments are disjoint runs of contiguous rows in the flattened batch, so the
+pooling and the broadcast are index operations over those runs
+(:func:`~hymoe.tensor.row_runs_mean`, :func:`~hymoe.tensor.spread_row_runs`)
+located by :func:`segment_starts`; no [segments x rows] matrix is built.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from .tensor import (
     matmul,
     narrow,
     reshape,
+    row_runs_mean,
     scatter_rows,
     softmax_axis,
+    spread_row_runs,
     take_along_cols,
     top_k_rows,
     transpose,
@@ -55,14 +62,6 @@ class SegmentMoEConfig:
             )
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_experts": self.num_experts,
-            "window": self.window,
-            "capacity_factor": self.capacity_factor,
-            "hidden_size": self.hidden_size,
-        }
 
 
 @dataclass
@@ -131,26 +130,11 @@ def partition_segments(
     )
 
 
-def average_matrix(plan: SegmentationPlan) -> np.ndarray:
-    """[V x B*stride] constant matrix averaging each segment's token rows."""
-    mat = np.zeros((plan.total_segments, plan.batch_size * plan.row_stride))
-    for v, (b, start, end) in enumerate(plan.spans):
-        rows = b * plan.row_stride + np.arange(start, end)
-        mat[v, rows] = 1.0 / plan.window
-    return mat
-
-
-def broadcast_matrix(plan: SegmentationPlan) -> np.ndarray:
-    """[B*stride x V] constant matrix copying a segment's row to its tokens.
-
-    Leftover and padding rows stay all-zero, so those tokens receive no
-    segment-path contribution.
-    """
-    mat = np.zeros((plan.batch_size * plan.row_stride, plan.total_segments))
-    for v, (b, start, end) in enumerate(plan.spans):
-        rows = b * plan.row_stride + np.arange(start, end)
-        mat[rows, v] = 1.0
-    return mat
+def segment_starts(plan: SegmentationPlan) -> np.ndarray:
+    """Flattened row index of each segment's first token, in segment order."""
+    return np.array(
+        [b * plan.row_stride + start for b, start, _ in plan.spans], dtype=np.int64
+    )
 
 
 def embed_segments(plan: SegmentationPlan, hidden: Tensor) -> Tensor:
@@ -158,7 +142,7 @@ def embed_segments(plan: SegmentationPlan, hidden: Tensor) -> Tensor:
     expected = plan.batch_size * plan.row_stride
     if hidden.shape[0] != expected:
         raise ShapeError(f"hidden rows {hidden.shape} inconsistent with plan rows {expected}")
-    return matmul(Tensor(average_matrix(plan)), hidden)
+    return row_runs_mean(hidden, segment_starts(plan), plan.window)
 
 
 def compute_capacity(total_segments: int, cfg: SegmentMoEConfig) -> int:
@@ -175,9 +159,16 @@ class ExpertChoiceAssignment:
 
     indices: np.ndarray      # I: [N x r] segment ids, r distinct per row
     weights: Tensor          # D: [N x r], D[i, j] = gate_matrix[i, I[i, j]]
-    onehot: np.ndarray       # U: [N x r x V], one-hot over segments
     capacity: int
     gate_matrix: Tensor      # [N x V] expert-to-segment affinities
+
+    @property
+    def onehot(self) -> np.ndarray:
+        """U: [N x r x V], one-hot over segments, derived from I."""
+        n, r = self.indices.shape
+        u = np.zeros((n, r, self.gate_matrix.shape[1]))
+        u[np.arange(n)[:, None], np.arange(r), self.indices] = 1.0
+        return u
 
 
 def expert_choice_route(
@@ -196,12 +187,7 @@ def expert_choice_route(
     gate_matrix = transpose(softmax_axis(matmul(seg_emb, w), axis=1))
     indices = top_k_rows(gate_matrix.data, capacity)
     weights = take_along_cols(gate_matrix, indices)
-    num_experts = gate_matrix.shape[0]
-    onehot = np.zeros((num_experts, capacity, total))
-    rows = np.repeat(np.arange(num_experts), capacity)
-    cols = np.tile(np.arange(capacity), num_experts)
-    onehot[rows, cols, indices.reshape(-1)] = 1.0
-    return ExpertChoiceAssignment(indices, weights, onehot, capacity, gate_matrix)
+    return ExpertChoiceAssignment(indices, weights, capacity, gate_matrix)
 
 
 def segment_moe_forward(
@@ -250,6 +236,7 @@ def fuse_layer_outputs(
     """
     fused = matmul(o_tok, fusion.token.value)
     if o_seg is not None and plan.total_segments > 0:
-        spread = matmul(Tensor(broadcast_matrix(plan)), o_seg)
+        rows = plan.batch_size * plan.row_stride
+        spread = spread_row_runs(o_seg, segment_starts(plan), plan.window, rows)
         fused = fused + matmul(spread, fusion.segment.value)
     return fused

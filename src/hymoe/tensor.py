@@ -380,6 +380,28 @@ def scatter_rows(values: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     return _node(out_data, (values,), backward)
 
 
+def row_runs_mean(a: Tensor, starts: np.ndarray, width: int) -> Tensor:
+    """Mean of each run of ``width`` rows from ``starts``; runs must be disjoint."""
+    a = constant(a)
+    rows = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(width)
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[rows] = (g / width)[:, None, :]  # disjoint runs: assign, not add.at
+        _accum(a, ga)
+
+    return _node(a.data[rows].mean(axis=1), (a,), backward)
+
+
+def spread_row_runs(v: Tensor, starts: np.ndarray, width: int, num_rows: int) -> Tensor:
+    """Copy row i of ``v`` onto its run of rows of a zero matrix; runs must be disjoint."""
+    v = constant(v)
+    rows = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(width)
+    out_data = np.zeros((num_rows, v.data.shape[1]), dtype=np.float64)
+    out_data[rows] = v.data[:, None, :]
+    return _node(out_data, (v,), lambda g: _accum(v, g[rows].sum(axis=1)))
+
+
 def take_along_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     """Per-row column gather: out[r, j] = a[r, idx[r, j]]."""
     a = constant(a)

@@ -59,13 +59,6 @@ class TokenMoEConfig:
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_experts": self.num_experts,
-            "top_k": self.top_k,
-            "hidden_size": self.hidden_size,
-        }
-
 
 @dataclass
 class GateAssignment:
@@ -88,10 +81,6 @@ class GateAssignment:
     def dense_gates(self) -> Tensor:
         """[T x N] gate matrix; unselected experts are exactly 0."""
         return scatter_cols(self.gates, self.indices, self.num_experts)
-
-    def selection_counts(self) -> np.ndarray:
-        """How many tokens selected each expert (length N)."""
-        return np.bincount(self.indices.reshape(-1), minlength=self.num_experts)
 
 
 def token_affinity_scores(router_weight: Tensor | Parameter, x: Tensor) -> Tensor:

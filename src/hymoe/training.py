@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .dense import DenseCheckpoint, dense_forward_batch
-from .hybrid import HybridCheckpoint, hybrid_forward_batch
-from .losses import BalanceResult, LossReport, load_balance_loss, ntp_loss
-from .tensor import Parameter, Tensor, backward
+from .dense import dense_forward_batch
+from .hybrid import HybridCheckpoint, HybridTrace, hybrid_forward_batch
+from .losses import LossReport, load_balance_loss, ntp_loss
+from .tensor import Tensor, backward
 
 
 @dataclass(frozen=True)
@@ -55,29 +53,20 @@ def cosine_lr(base: float, step: int, total_steps: int, warmup_steps: int = 0) -
     return base * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def _collect_losses(ckpt, samples, targets, cfg: TrainConfig):
-    """Forward the batch, return (ntp Tensor, balance BalanceResult|None)."""
+def _forward(ckpt, samples) -> tuple[list[Tensor], HybridTrace | None]:
+    """Per-sample logits, plus the routing trace for a hybrid checkpoint."""
     if isinstance(ckpt, HybridCheckpoint):
-        logits, trace = hybrid_forward_batch(ckpt, samples)
-        pieces = [ntp_loss(lg, tg) for lg, tg in zip(logits, targets)]
-        total_ntp = pieces[0]
-        for piece in pieces[1:]:
-            total_ntp = total_ntp + piece
-        total_ntp = total_ntp * (1.0 / len(pieces))
-        balance = load_balance_loss(
-            [layer.gates for layer in trace.layers],
-            cfg.alpha,
-            trace.real_rows,
-            include_shared=cfg.balance_includes_shared,
-        )
-        return total_ntp, balance
-    logits = dense_forward_batch(ckpt, samples)
+        return hybrid_forward_batch(ckpt, samples)
+    return dense_forward_batch(ckpt, samples), None
+
+
+def _mean_ntp(logits: list[Tensor], targets) -> Tensor:
+    """Batch mean of the per-sample NTP losses."""
     pieces = [ntp_loss(lg, tg) for lg, tg in zip(logits, targets)]
-    total_ntp = pieces[0]
+    total = pieces[0]
     for piece in pieces[1:]:
-        total_ntp = total_ntp + piece
-    total_ntp = total_ntp * (1.0 / len(pieces))
-    return total_ntp, None
+        total = total + piece
+    return total * (1.0 / len(pieces))
 
 
 def training_step(
@@ -88,16 +77,22 @@ def training_step(
     step: int,
 ) -> LossReport:
     """One SGD step on the batch; updates trainable parameters only."""
-    l_ntp, balance = _collect_losses(ckpt, samples, targets, cfg)
-    if balance is not None:
+    logits, trace = _forward(ckpt, samples)
+    l_ntp = _mean_ntp(logits, targets)
+    total, balance = l_ntp, None
+    if trace is not None:
+        balance = load_balance_loss(
+            [layer.gates for layer in trace.layers],
+            cfg.alpha,
+            trace.real_rows,
+            include_shared=cfg.balance_includes_shared,
+        )
         total = l_ntp + balance.loss
-    else:
-        total = l_ntp
     total_val = total.item()
+    l_balance = balance.loss.item() if balance else 0.0
     if not math.isfinite(total_val):
         raise RuntimeError(
-            f"non-finite loss at step {step}: ntp={l_ntp.item()!r}, "
-            f"balance={balance.loss.item() if balance else 0.0!r}"
+            f"non-finite loss at step {step}: ntp={l_ntp.item()!r}, balance={l_balance!r}"
         )
     backward(total)
     lr = cosine_lr(cfg.learning_rate, step, cfg.steps, cfg.warmup_steps)
@@ -105,27 +100,19 @@ def training_step(
         if p.trainable and p.value.grad is not None:
             p.value.data -= lr * p.value.grad
         p.zero_grad()
-    if balance is not None:
-        return LossReport(
-            l_ntp=l_ntp.item(),
-            l_balance=balance.loss.item(),
-            total=total_val,
-            per_layer_f=[f.tolist() for f in balance.per_layer_f],
-            per_layer_p=[p.tolist() for p in balance.per_layer_p],
-        )
     return LossReport(
-        l_ntp=l_ntp.item(), l_balance=0.0, total=total_val, per_layer_f=[], per_layer_p=[]
+        l_ntp=l_ntp.item(),
+        l_balance=l_balance,
+        total=total_val,
+        per_layer_f=[f.tolist() for f in balance.per_layer_f] if balance else [],
+        per_layer_p=[p.tolist() for p in balance.per_layer_p] if balance else [],
     )
 
 
 def evaluate_loss(ckpt, samples, targets) -> float:
     """Mean NTP loss over the given samples, no parameter updates."""
-    if isinstance(ckpt, HybridCheckpoint):
-        logits, _ = hybrid_forward_batch(ckpt, samples)
-    else:
-        logits = dense_forward_batch(ckpt, samples)
-    losses = [ntp_loss(lg, tg).item() for lg, tg in zip(logits, targets)]
-    return float(np.mean(losses))
+    logits, _ = _forward(ckpt, samples)
+    return _mean_ntp(logits, targets).item()
 
 
 def write_metrics_line(path: Path, report: LossReport, step: int, lr: float) -> None:

@@ -80,4 +80,7 @@ def test_traced_step_counts_read_the_right_arguments(tiny_model):
     segments = batch * (seq_len // hybrid.segment_moe.window)
     assert tr.per_step_counts("segment_moe.segments") == [float(layers * segments)]
     assert tr.count_values("tensor.tape_nodes")[0] > 0
-    assert {s[0] for s in tr.spans} >= {"dense.attention", "token_moe.forward", "tensor.backward"}
+    assert {s[0] for s in tr.spans} >= {
+        "dense.attention", "dense.rmsnorm", "dense.head", "token_moe.forward",
+        "segment_moe.embed", "segment_moe.fuse", "tensor.backward",
+    }

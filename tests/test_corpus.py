@@ -122,6 +122,23 @@ class TestGeneration:
             assert manifest["languages"][name]["tokens"] > 0
 
 
+class TestLoadCorpus:
+    @pytest.mark.parametrize("bad_line,message", [
+        ("major 12 13 14", "expected '<lang>\\\\t<ids>'"),
+        ("minor\t12 x3 14", "token ids must be integers"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "train.tsv"
+        path.write_text("major\t12 13\n\n" + bad_line + "\nminor\t14\n")
+        with pytest.raises(ValueError, match=f"train\\.tsv:3: {message}"):
+            load_corpus(path)
+
+    def test_well_formed_rows_load(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("major\t12 13\n\nminor\t14\n")
+        assert load_corpus(path) == [("major", [12, 13]), ("minor", [14])]
+
+
 class TestBatching:
     @pytest.fixture
     def corpus(self, tmp_path):

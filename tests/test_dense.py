@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from hymoe import checkpoint as ckpt_io
-from hymoe.dense import DenseCheckpoint, DenseConfig, dense_forward, ffn_forward, init_dense
+from hymoe.dense import (
+    DenseCheckpoint,
+    DenseConfig,
+    dense_forward,
+    dense_forward_batch,
+    ffn_forward,
+    init_dense,
+)
 from hymoe.tensor import Tensor
 
 
@@ -86,6 +94,19 @@ class TestDenseForward:
         probs = shifted / shifted.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("overrides", [{}, dict(hidden_size=64, ffn_hidden=128,
+                                                     vocab_size=128, max_seq_len=64)])
+    def test_flat_batch_matches_lone_samples_bitwise(self, overrides):
+        ckpt = init_dense(tiny_config(**overrides), seed=4)
+        cfg = ckpt.config
+        rng = np.random.default_rng(5)
+        lengths = (cfg.max_seq_len, 5, cfg.max_seq_len // 2 + 1, 1)
+        samples = [rng.integers(0, cfg.vocab_size, size=n) for n in lengths]
+        batch = dense_forward_batch(ckpt, samples)
+        assert [lg.shape[0] for lg in batch] == list(lengths)
+        for sample, logits in zip(samples, batch):
+            np.testing.assert_array_equal(logits.data, dense_forward(ckpt, sample).data)
+
     def test_out_of_vocab_rejected(self):
         ckpt = init_dense(tiny_config(), seed=0)
         with pytest.raises(ValueError, match="vocabulary"):
@@ -119,7 +140,7 @@ class TestCheckpointFile:
         (header_len,) = struct.unpack("<Q", blob[8:16])
         header = json.loads(blob[16 : 16 + header_len])
         assert header["kind"] == "dense"
-        assert set(header["config"]) == set(ckpt.config.to_dict())
+        assert header["config"] == dataclasses.asdict(ckpt.config)
         payload = blob[16 + header_len :]
         for entry in header["manifest"]:
             count = int(np.prod(entry["shape"]))
@@ -133,6 +154,21 @@ class TestCheckpointFile:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             ckpt_io.load(path)
+
+    @pytest.mark.parametrize("delta", [-8, 16], ids=["truncated", "trailing"])
+    def test_payload_length_must_match_manifest(self, tmp_path, delta):
+        path = tmp_path / "dense.ckpt"
+        ckpt_io.save(init_dense(tiny_config(), seed=8), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        payload_len = len(blob) - 16 - header_len
+        path.write_bytes(blob[:delta] if delta < 0 else blob + b"\x00" * delta)
+        with pytest.raises(ValueError) as err:
+            ckpt_io.load(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert f"payload is {payload_len + delta} bytes" in message
+        assert f"ends at byte {payload_len}" in message
 
     def test_forward_identical_after_roundtrip(self, tmp_path):
         ckpt = init_dense(tiny_config(), seed=7)

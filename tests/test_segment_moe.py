@@ -5,7 +5,6 @@ from hymoe.segment_moe import (
     ExpertChoiceAssignment,
     FusionWeights,
     SegmentMoEConfig,
-    broadcast_matrix,
     compute_capacity,
     embed_segments,
     expert_choice_route,
@@ -119,7 +118,6 @@ class TestCapacity:
 
 def route(gate_rows: np.ndarray, r: int) -> ExpertChoiceAssignment:
     """Build an assignment from a given [N x V] gate matrix (bypasses the router)."""
-    n, v = gate_rows.shape
     from hymoe.tensor import top_k_rows
 
     indices = top_k_rows(gate_rows, r)
@@ -127,11 +125,7 @@ def route(gate_rows: np.ndarray, r: int) -> ExpertChoiceAssignment:
     from hymoe.tensor import take_along_cols
 
     weights = take_along_cols(gm, indices)
-    onehot = np.zeros((n, r, v))
-    for i in range(n):
-        for j in range(r):
-            onehot[i, j, indices[i, j]] = 1.0
-    return ExpertChoiceAssignment(indices, weights, onehot, r, gm)
+    return ExpertChoiceAssignment(indices, weights, r, gm)
 
 
 class TestExpertChoiceRoute:
@@ -233,7 +227,7 @@ class TestSegmentForward:
         g[0, 1] = 1.0
         assign = route(g, 1)
         assign = ExpertChoiceAssignment(
-            assign.indices, Tensor(np.ones((1, 1))), assign.onehot, 1, assign.gate_matrix
+            assign.indices, Tensor(np.ones((1, 1))), 1, assign.gate_matrix
         )
         out = segment_moe_forward(experts, assign, seg_emb)
         from hymoe.dense import ffn_forward
@@ -324,11 +318,10 @@ class TestFusion:
         wt, ws = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         fusion = FusionWeights(token=Parameter("ft", wt), segment=Parameter("fs", ws))
         out = fuse_layer_outputs(o_tok, o_seg, plan, fusion)
-        bmat = broadcast_matrix(plan)
         for row in range(12):
             seg_vec = np.zeros(3)
-            for v in range(plan.total_segments):
-                if bmat[row, v]:
+            for v, (b, start, end) in enumerate(plan.spans):
+                if b * plan.row_stride + start <= row < b * plan.row_stride + end:
                     seg_vec = o_seg.data[v]
             np.testing.assert_allclose(
                 out.data[row], o_tok.data[row] @ wt + seg_vec @ ws, atol=1e-12

@@ -21,10 +21,12 @@ from hymoe.tensor import (
     power,
     relative_error,
     reshape,
+    row_runs_mean,
     scatter_cols,
     scatter_rows,
     silu,
     softmax_axis,
+    spread_row_runs,
     take_along_cols,
     take_pairs,
     tmean,
@@ -364,6 +366,70 @@ class TestCausalAttention:
             causal_attention(x, x, x, 2, _causal(5), -1e30)
         with pytest.raises(ShapeError):
             causal_attention(x, x, x, 4, _causal(7), -1e30)
+
+
+def _run_matrices(starts, width, num_rows):
+    """The constant-matrix formulation the run ops replace: a [runs x rows]
+    averaging matrix and a [rows x runs] copying matrix."""
+    avg = np.zeros((len(starts), num_rows))
+    copy = np.zeros((num_rows, len(starts)))
+    for v, start in enumerate(starts):
+        avg[v, start : start + width] = 1.0 / width
+        copy[start : start + width, v] = 1.0
+    return avg, copy
+
+
+class TestRowRuns:
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(10)
+        starts, width, num_rows = np.array([1, 5, 12]), 3, 17  # ragged gaps, width 3
+        p = Parameter("p", rng.normal(size=(num_rows, 4)))
+        q = Parameter("q", rng.normal(size=(len(starts), 4)))
+        weight = Tensor(rng.normal(size=(num_rows, 4)))
+
+        def build():
+            pooled = row_runs_mean(p.value, starts, width)
+            spread = spread_row_runs(pooled * q.value, starts, width, num_rows)
+            return tsum(spread * weight) + tsum(pooled * pooled)
+
+        _check_grads(build, [p, q])
+
+    def test_leftover_and_gap_rows_get_nothing(self):
+        v = Tensor(np.arange(6.0).reshape(2, 3))
+        out = spread_row_runs(v, np.array([1, 6]), 2, 9).data
+        np.testing.assert_array_equal(out[[0, 3, 4, 5, 8]], 0.0)
+        np.testing.assert_array_equal(out[[1, 2]], [v.data[0]] * 2)
+        np.testing.assert_array_equal(out[[6, 7]], [v.data[1]] * 2)
+
+    @pytest.mark.parametrize("width,tol", [(32, 0.0), (3, 1e-13), (24, 1e-13)])
+    def test_match_the_constant_matrix_formulation(self, width, tol):
+        # Desk-like layout: samples padded to a stride of 256 rows, each split
+        # into full windows from its first row; width 32 must agree bit for bit.
+        rng = np.random.default_rng(width)
+        stride, lengths, hidden = 256, (256, 100, 7), 64
+        starts = np.array([b * stride + j * width for b, t in enumerate(lengths)
+                           for j in range(t // width)])
+        num_rows = stride * len(lengths)
+        avg, copy = _run_matrices(starts, width, num_rows)
+        x_data = rng.normal(size=(num_rows, hidden))
+        up_pool = Tensor(rng.normal(size=(len(starts), hidden)))
+        up_spread = Tensor(rng.normal(size=(num_rows, hidden)))
+        results = []
+        for pool, spread in (
+            (lambda a: row_runs_mean(a, starts, width),
+             lambda v: spread_row_runs(v, starts, width, num_rows)),
+            (lambda a: matmul(Tensor(avg), a), lambda v: matmul(Tensor(copy), v)),
+        ):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            v = Tensor(up_pool.data.copy(), requires_grad=True)
+            pooled, spread_out = pool(x), spread(v)
+            backward(tsum(pooled * up_pool) + tsum(spread_out * up_spread))
+            results.append((pooled.data, spread_out.data, x.grad, v.grad))
+        for got, want in zip(*results):
+            if tol == 0.0:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("second_first", [False, True])
