@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,6 @@ class RoutingReport:
     token_freq: dict[int, np.ndarray]                 # layer -> [lang x N_tok]
     segment_freq: dict[int, dict[str, np.ndarray]]    # layer -> lang -> [N_seg x P]
     top_segments: dict[int, dict[str, tuple[int, int]]]
-    gate_log: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
 
     def top2_string(self, layer: int, language: str) -> str:
         v1, v2 = self.top_segments[layer][language]
@@ -104,22 +103,21 @@ def routing_analytics(
 
     token_counts = {l: np.zeros((len(languages), n_tok)) for l in layers}
     seg_counts = {l: {lang: np.zeros((n_seg, max(positions, 1))) for lang in languages} for l in layers}
-    gate_log: dict[int, dict[str, list[np.ndarray]]] = {l: {lang: [] for lang in languages} for l in layers}
+    ei = np.arange(n_seg)[:, None]  # expert i picked the segments in row i of I
 
     for li, lang in enumerate(languages):
         samples, _ = eval_blocks(streams[lang], seq_len, n_blocks)
         for start in range(0, len(samples), batch_size):
             chunk = samples[start : start + batch_size]
             _, trace = hybrid_forward_batch(ckpt, chunk)
+            plan = trace.plan  # each segment's window position inside its sample:
+            pos = np.array([t0 // plan.window for _, t0, _ in plan.spans], dtype=np.int64)
             for layer in layers:
                 lt = trace.layers[layer]
                 picked = lt.gates.indices[trace.real_rows]
                 token_counts[layer][li] += np.bincount(picked.reshape(-1), minlength=n_tok)
-                gate_log[layer][lang].append(picked)
                 if lt.segment_assign is not None:
-                    pos = np.array([trace.plan.position(v) for v in range(trace.plan.total_segments)])
-                    for expert_row, chosen in enumerate(lt.segment_assign.indices):
-                        np.add.at(seg_counts[layer][lang][expert_row], pos[chosen], 1.0)
+                    np.add.at(seg_counts[layer][lang], (ei, pos[lt.segment_assign.indices]), 1.0)
 
     token_freq = {}
     segment_freq = {}
@@ -148,7 +146,4 @@ def routing_analytics(
         token_freq=token_freq,
         segment_freq=segment_freq,
         top_segments=top_segments,
-        gate_log={l: {lang: np.concatenate(v) if v else np.zeros((0, ckpt.token_moe.top_k), dtype=np.int64)
-                      for lang, v in by_lang.items()}
-                  for l, by_lang in gate_log.items()},
     )

@@ -10,13 +10,16 @@ Layout on disk::
 Manifest entries carry {name, shape, offset, trainable}; offsets are relative
 to the start of the payload. Dense and hybrid checkpoints share the format,
 hybrid ones simply carry the extra parameter names and config blocks.
-``load`` refuses a payload whose length is not where the manifest ends.
+``load`` refuses, naming the file, a header length field that is cut short
+or points past the end of the file, a header that is not UTF-8 JSON, and a
+payload whose length is not where the manifest ends.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -62,8 +65,17 @@ def _read(path: str | Path) -> tuple[dict, bytes]:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        size_field = fh.read(8)
+        if len(size_field) != 8:
+            raise ValueError(f"{path}: file ends inside the 8-byte header length field")
+        (header_len,) = struct.unpack("<Q", size_field)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > left:
+            raise ValueError(f"{path}: header length {header_len} exceeds the {left} bytes left")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
         payload = fh.read()
     return header, payload
 

@@ -6,7 +6,7 @@ surface before any compute starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -57,6 +57,10 @@ class RunSettings:
         for name in ("steps", "batch_size", "seq_len", "checkpoint_every", "eval_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+    def build(self, cls):
+        """An instance of the dataclass ``cls`` from the settings named like its fields."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def languages(self) -> list[str] | None:
         names = [n.strip() for n in self.train_languages.split(",") if n.strip()]

@@ -30,10 +30,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     causal_attention,
-    gather_rows,
+    gather,
     matmul,
     narrow,
     power,
+    reshape,
+    scatter,
     silu,
     tmean,
 )
@@ -122,6 +124,24 @@ def ffn_forward(x: Tensor, w1: Tensor | Parameter, w2: Tensor | Parameter) -> Te
     return matmul(silu(matmul(x, w1)), w2)
 
 
+def mix_experts(experts: Sequence[tuple], x: Tensor, gates: Tensor,
+                picks: Sequence[tuple], out: Tensor | None = None) -> Tensor:
+    """The one expert dispatch of both MoEs: gather, FFN, scale, scatter back.
+
+    ``picks[i] = (rows, gate_index)``: expert i runs :func:`ffn_forward` on
+    ``gather(x, rows)``, scales output row j by ``gather(gates, gate_index)[j]``
+    and scatters it onto row ``rows[j]``; the results are added onto ``out`` in
+    expert order. An expert with no rows adds nothing.
+    """
+    for (w1, w2), (rows, gate_index) in zip(experts, picks, strict=True):
+        if rows.size == 0:
+            continue
+        weights = reshape(gather(gates, gate_index), (rows.size, 1))
+        contrib = scatter(ffn_forward(gather(x, rows), w1, w2) * weights, rows, x.shape)
+        out = contrib if out is None else out + contrib
+    return out
+
+
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
               num_heads: int, mask: np.ndarray) -> Tensor:
     """Causal multi-head attention over a flattened batch of padded samples.
@@ -181,7 +201,7 @@ def forward_batch(
     flat_ids = np.zeros((len(ids), L), dtype=np.int64)  # padded with id 0
     for b, a in enumerate(ids):
         flat_ids[b, : a.size] = a
-    x = gather_rows(ckpt.param("embed.tok").value, flat_ids.reshape(-1)) + gather_rows(
+    x = gather(ckpt.param("embed.tok").value, flat_ids.reshape(-1)) + gather(
         ckpt.param("embed.pos").value, np.tile(np.arange(L), len(ids))
     )
     for l in range(cfg.num_layers):

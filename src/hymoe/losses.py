@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, gather_rows, log_softmax_axis, take_pairs, tmean, tsum
+from .tensor import ShapeError, Tensor, gather, log_softmax_axis, tmean, tsum
 from .token_moe import GateAssignment
 
 
@@ -31,7 +31,7 @@ def ntp_loss(logits: Tensor, targets: Sequence[int]) -> Tensor:
     if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise ValueError(f"target id outside vocabulary of size {logits.shape[1]}")
     logp = log_softmax_axis(logits, axis=1)
-    picked = take_pairs(logp, np.arange(targets.size), targets)
+    picked = gather(logp, (np.arange(targets.size), targets))
     return -tmean(picked)
 
 
@@ -68,7 +68,7 @@ def load_balance_loss(
         dense = assign.dense_gates()
         indices = assign.indices
         if token_rows is not None:
-            dense = gather_rows(dense, token_rows)
+            dense = gather(dense, token_rows)
             indices = indices[token_rows]
         t_count = indices.shape[0]
         counts = np.bincount(indices.reshape(-1), minlength=n)

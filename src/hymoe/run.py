@@ -31,15 +31,7 @@ def _load_model(settings: RunSettings):
                 f"config says model={settings.model} but {settings.init_checkpoint} is {kind}"
             )
         return model
-    config = DenseConfig(
-        vocab_size=settings.vocab_size,
-        hidden_size=settings.hidden_size,
-        num_layers=settings.num_layers,
-        ffn_hidden=settings.ffn_hidden,
-        num_heads=settings.num_heads,
-        max_seq_len=settings.max_seq_len,
-    )
-    return init_dense(config, seed=settings.init_seed)
+    return init_dense(settings.build(DenseConfig), seed=settings.init_seed)
 
 
 def _truncate_metrics(path: Path, start_step: int) -> None:
@@ -82,16 +74,7 @@ def train_run(settings: RunSettings, quiet: bool = False) -> dict:
         raise ValueError(
             f"seq_len {settings.seq_len} exceeds checkpoint max_seq_len {model.config.max_seq_len}"
         )
-    train_cfg = TrainConfig(
-        batch_size=settings.batch_size,
-        seq_len=settings.seq_len,
-        learning_rate=settings.learning_rate,
-        alpha=settings.alpha,
-        steps=settings.steps,
-        seed=settings.seed,
-        warmup_steps=settings.warmup_steps,
-        balance_includes_shared=settings.balance_includes_shared,
-    )
+    train_cfg = settings.build(TrainConfig)
 
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

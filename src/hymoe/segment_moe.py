@@ -13,6 +13,8 @@ Segments are disjoint runs of contiguous rows in the flattened batch, so the
 pooling and the broadcast are index operations over those runs
 (:func:`~hymoe.tensor.row_runs_mean`, :func:`~hymoe.tensor.spread_row_runs`)
 located by :func:`segment_starts`; no [segments x rows] matrix is built.
+Each expert's picked segments go through :func:`hymoe.dense.mix_experts`, the
+dispatch the token MoE uses too.
 """
 
 from __future__ import annotations
@@ -21,20 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ffn_forward
+from .dense import mix_experts
 from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    gather_rows,
+    gather,
     matmul,
-    narrow,
-    reshape,
     row_runs_mean,
-    scatter_rows,
     softmax_axis,
     spread_row_runs,
-    take_along_cols,
     top_k_rows,
     transpose,
 )
@@ -86,10 +84,6 @@ class SegmentationPlan:
 
     def segments_per_sample(self, sample: int) -> int:
         return self.lengths[sample] // self.window
-
-    def position(self, v: int) -> int:
-        """0-based window position of segment v inside its sample."""
-        return self.spans[v][1] // self.window
 
 
 def partition_segments(
@@ -186,7 +180,7 @@ def expert_choice_route(
         raise ValueError(f"capacity {capacity} exceeds segment count {total}")
     gate_matrix = transpose(softmax_axis(matmul(seg_emb, w), axis=1))
     indices = top_k_rows(gate_matrix.data, capacity)
-    weights = take_along_cols(gate_matrix, indices)
+    weights = gather(gate_matrix, (np.arange(indices.shape[0])[:, None], indices))
     return ExpertChoiceAssignment(indices, weights, capacity, gate_matrix)
 
 
@@ -200,19 +194,11 @@ def segment_moe_forward(
     Expert i processes the segments it chose; its j-th output row lands on
     segment I[i, j] scaled by D[i, j]. Segments no expert picked stay zero.
     """
-    num_experts = assign.indices.shape[0]
+    num_experts, r = assign.indices.shape
     if len(experts) != num_experts:
         raise ShapeError(f"expert count {len(experts)} vs assignment rows {num_experts}")
-    total = seg_emb.shape[0]
-    out = None
-    for i, (w1, w2) in enumerate(experts):
-        chosen = assign.indices[i]
-        x_in = gather_rows(seg_emb, chosen)
-        y = ffn_forward(x_in, w1, w2)
-        d_row = reshape(narrow(assign.weights, 0, i, 1), (assign.capacity, 1))
-        contrib = scatter_rows(y * d_row, chosen, total)
-        out = contrib if out is None else out + contrib
-    return out
+    picks = [(chosen, (i, np.arange(r))) for i, chosen in enumerate(assign.indices)]
+    return mix_experts(experts, seg_emb, assign.weights, picks)
 
 
 @dataclass

@@ -7,6 +7,11 @@ tape, so inference-only passes build no graph, and every backward computes a
 gradient product only for the operands that require grad (frozen weights
 never get one).
 
+Two index ops serve every lookup and dispatch: ``gather`` (``a[index]``) and
+``scatter`` (``np.add.at`` into zeros), where ``index`` is an int array of
+rows or a tuple of int arrays of elements. ``row_runs_mean`` and
+``spread_row_runs`` cover disjoint runs of rows without ``np.add.at``.
+
 A ``.grad`` array is never mutated in place. A second contribution rebinds it
 to a fresh sum, so a backward may hand the same array, or a read-only view of
 it, to several parents without copying.
@@ -353,31 +358,48 @@ def log_softmax_axis(a: Tensor, axis: int) -> Tensor:
 # indexing, dispatch, and layout
 
 
-def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows."""
+def _fit_index(index, shape: tuple[int, ...], op: str):
+    """``index`` as int64 array(s) checked against ``shape``, and the shape it selects."""
+    parts = index if isinstance(index, tuple) else (index,)
+    parts = tuple(np.asarray(p, dtype=np.int64) for p in parts)
+    fits = len(parts) <= len(shape) and all(
+        p.size == 0 or (p.min() >= 0 and p.max() < n) for p, n in zip(parts, shape)
+    )
+    try:
+        picked = np.broadcast_shapes(*(p.shape for p in parts)) + tuple(shape[len(parts):])
+    except ValueError:
+        fits = False
+    if not fits:
+        spans = [(p.shape, int(p.min()), int(p.max())) if p.size else p.shape for p in parts]
+        raise ShapeError(f"{op}: index (shape, min, max) {spans} does not fit shape {shape}")
+    return (parts if isinstance(index, tuple) else parts[0]), picked
+
+
+def _add_at(shape: tuple[int, ...], index, values: np.ndarray) -> np.ndarray:
+    out = np.zeros(shape, dtype=np.float64)
+    np.add.at(out, index, values)  # unbuffered: a repeated index sums
+    return out
+
+
+def gather(a: Tensor, index) -> Tensor:
+    """``a[index]``: rows for an int array, elements for a tuple of int arrays.
+
+    Backward adds into zeros with ``np.add.at``, so a row or element picked
+    twice (an embedding lookup repeats token ids) sums both gradients.
+    """
     a = constant(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    out_data = a.data[rows]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, rows, g)
-        _accum(a, ga)
-
-    return _node(out_data, (a,), backward)
+    index, _ = _fit_index(index, a.shape, "gather")
+    return _node(a.data[index], (a,), lambda g: _accum(a, _add_at(a.shape, index, g)))
 
 
-def scatter_rows(values: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
-    """Accumulate value rows into a zero matrix of ``num_rows`` rows."""
+def scatter(values: Tensor, index, shape: tuple[int, ...]) -> Tensor:
+    """Add ``values`` into a zero array of ``shape`` at ``index``; the inverse of gather."""
     values = constant(values)
-    rows = np.asarray(rows, dtype=np.int64)
-    out_data = np.zeros((num_rows,) + values.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, rows, values.data)
-
-    def backward(g):
-        _accum(values, g[rows])
-
-    return _node(out_data, (values,), backward)
+    index, picked = _fit_index(index, tuple(shape), "scatter")
+    if values.shape != picked:
+        raise ShapeError(f"scatter: values {values.shape} do not match index selection {picked}")
+    out_data = _add_at(shape, index, values.data)
+    return _node(out_data, (values,), lambda g: _accum(values, g[index]))
 
 
 def row_runs_mean(a: Tensor, starts: np.ndarray, width: int) -> Tensor:
@@ -400,52 +422,6 @@ def spread_row_runs(v: Tensor, starts: np.ndarray, width: int, num_rows: int) ->
     out_data = np.zeros((num_rows, v.data.shape[1]), dtype=np.float64)
     out_data[rows] = v.data[:, None, :]
     return _node(out_data, (v,), lambda g: _accum(v, g[rows].sum(axis=1)))
-
-
-def take_along_cols(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-row column gather: out[r, j] = a[r, idx[r, j]]."""
-    a = constant(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.ndim != 2 or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"take_along_cols: rows disagree, {a.shape} vs index {idx.shape}")
-    out_data = np.take_along_axis(a.data, idx, axis=1)
-    rows = np.broadcast_to(np.arange(a.shape[0])[:, None], idx.shape)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g)
-        _accum(a, ga)
-
-    return _node(out_data, (a,), backward)
-
-
-def scatter_cols(values: Tensor, idx: np.ndarray, num_cols: int) -> Tensor:
-    """Inverse of take_along_cols: place per-row values at per-row columns."""
-    values = constant(values)
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.broadcast_to(np.arange(values.shape[0])[:, None], idx.shape)
-    out_data = np.zeros((values.shape[0], num_cols), dtype=np.float64)
-    np.add.at(out_data, (rows, idx), values.data)
-
-    def backward(g):
-        _accum(values, g[rows, idx])
-
-    return _node(out_data, (values,), backward)
-
-
-def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Pick individual elements a[rows[i], cols[i]] as a vector."""
-    a = constant(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out_data = a.data[rows, cols]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        _accum(a, ga)
-
-    return _node(out_data, (a,), backward)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -11,7 +11,8 @@ expert. Two gating modes:
   by their sum, so each token's gates add up to exactly 1.
 
 Selections are discrete and fixed during backprop; gradients flow only
-through the selected scores' values.
+through the selected scores' values. Routed experts are dispatched by
+:func:`hymoe.dense.mix_experts`, as the segment MoE's experts are.
 """
 
 from __future__ import annotations
@@ -20,20 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ffn_forward
+from .dense import ffn_forward, mix_experts
 from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    gather_rows,
+    gather,
     matmul,
     narrow,
-    reshape,
-    scatter_cols,
-    scatter_rows,
+    scatter,
     softmax_axis,
-    take_along_cols,
-    take_pairs,
     top_k_rows,
     tsum,
 )
@@ -80,7 +77,8 @@ class GateAssignment:
 
     def dense_gates(self) -> Tensor:
         """[T x N] gate matrix; unselected experts are exactly 0."""
-        return scatter_cols(self.gates, self.indices, self.num_experts)
+        t = self.indices.shape[0]
+        return scatter(self.gates, (np.arange(t)[:, None], self.indices), (t, self.num_experts))
 
 
 def token_affinity_scores(router_weight: Tensor | Parameter, x: Tensor) -> Tensor:
@@ -98,16 +96,17 @@ def compute_token_gates(scores: Tensor, cfg: TokenMoEConfig, mode: str) -> GateA
         )
     T = scores.shape[0]
     k = cfg.top_k
+    rows = np.arange(T)[:, None]  # with a [T x K] column index: one element per (t, slot)
 
     if mode == "vanilla":
         order = top_k_rows(scores.data, k)
-        gates = take_along_cols(scores, order)
+        gates = gather(scores, (rows, order))
         return GateAssignment(mode, cfg.num_experts, k, order, gates, scores, None)
 
     # shared-normalized: slot 0 is forced, then the best K-1 routed experts.
     routed_order = top_k_rows(scores.data[:, 1:], k - 1) + 1
     indices = np.concatenate([np.zeros((T, 1), dtype=np.int64), routed_order], axis=1)
-    selected = take_along_cols(scores, indices)
+    selected = gather(scores, (rows, indices))
     norm = tsum(selected, axis=1, keepdims=True)
     gates = selected / norm
     return GateAssignment(mode, cfg.num_experts, k, indices, gates, scores, norm)
@@ -123,32 +122,15 @@ def token_moe_forward(
 
     ``routed_experts`` hold slots 1..N-1; ``shared_expert`` is slot 0 (its
     parameters are expected to be frozen — the flag lives on the Parameters).
+    The shared expert runs on every token, scaled by its dense gate column (0
+    where a vanilla-mode token did not pick it); a routed one on its picks.
     """
-    experts = [shared_expert] + list(routed_experts)
-    if len(experts) != assign.num_experts:
-        raise ShapeError(
-            f"expert count {len(experts)} does not match assignment num_experts {assign.num_experts}"
-        )
+    if 1 + len(routed_experts) != assign.num_experts:
+        raise ShapeError(f"expert count {1 + len(routed_experts)} does not match "
+                         f"assignment num_experts {assign.num_experts}")
     if x.shape[0] != assign.indices.shape[0]:
         raise ShapeError(f"token count disagrees: x {x.shape} vs gates {assign.indices.shape}")
-    out = None
-    start = 0
-    if (assign.indices[:, 0] == 0).all():
-        # Expert 0 sits in slot 0 of every token (always so in shared-normalized
-        # mode): it runs on x as is, with no gather and no scatter.
-        w1, w2 = shared_expert
-        out = ffn_forward(x, w1, w2) * narrow(assign.gates, 1, 0, 1)
-        start = 1
-    for i in range(start, len(experts)):
-        w1, w2 = experts[i]
-        rows, slots = np.nonzero(assign.indices == i)
-        if rows.size == 0:
-            continue
-        inputs = gather_rows(x, rows)
-        y = ffn_forward(inputs, w1, w2)
-        weights = reshape(take_pairs(assign.gates, rows, slots), (rows.size, 1))
-        contrib = scatter_rows(y * weights, rows, x.shape[0])
-        out = contrib if out is None else out + contrib
-    if out is None:  # unreachable for valid assignments, but keep the contract
-        out = Tensor(np.zeros_like(x.data))
-    return out
+    shared = ffn_forward(x, *shared_expert) * narrow(assign.dense_gates(), 1, 0, 1)
+    picked = (np.nonzero(assign.indices == i) for i in range(1, assign.num_experts))
+    picks = [(rows, (rows, slots)) for rows, slots in picked]
+    return mix_experts(routed_experts, x, assign.gates, picks, out=shared)

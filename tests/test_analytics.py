@@ -8,7 +8,15 @@ import pytest
 from conftest import randomize_routing, tiny_hybrid
 
 from hymoe.analytics import evaluate_perplexity, report_layers, routing_analytics
-from hymoe.corpus import CorpusManifest, default_languages, generate_corpus, language_streams, load_corpus
+from hymoe.corpus import (
+    CorpusManifest,
+    default_languages,
+    eval_blocks,
+    generate_corpus,
+    language_streams,
+    load_corpus,
+)
+from hymoe.hybrid import hybrid_forward_batch
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +30,17 @@ def corpus_streams(tmp_path_factory):
         vocab_size=128,
     )
     return language_streams(load_corpus(out / "heldout.tsv"))
+
+
+def forward_picks(hybrid, stream, layer, seq_len, n_blocks, batch_size=4):
+    """Token-expert picks of the real tokens at one layer, recomputed by running
+    the hybrid forward over the held-out chunks that routing_analytics reads."""
+    samples, _ = eval_blocks(stream, seq_len, n_blocks)
+    picks = []
+    for start in range(0, len(samples), batch_size):
+        _, trace = hybrid_forward_batch(hybrid, samples[start : start + batch_size])
+        picks.append(trace.layers[layer].gates.indices[trace.real_rows])
+    return np.concatenate(picks)
 
 
 def test_report_layers_first_middle_last():
@@ -87,13 +106,12 @@ class TestRoutingReport:
             for lang in report.languages:
                 assert pattern.match(report.top2_string(layer, lang))
 
-    def test_frequencies_match_gate_log_recomputation(self, report_and_model):
+    def test_frequencies_match_forward_recomputation(self, report_and_model, corpus_streams):
         report, hybrid = report_and_model
-        k = hybrid.token_moe.top_k
         for layer in report.layers:
             for li, lang in enumerate(report.languages):
-                log = report.gate_log[layer][lang]
-                counts = np.bincount(log.reshape(-1), minlength=hybrid.token_moe.num_experts)
+                picks = forward_picks(hybrid, corpus_streams[lang], layer, 16, 4)
+                counts = np.bincount(picks.reshape(-1), minlength=hybrid.token_moe.num_experts)
                 freq = counts / counts.sum()
                 np.testing.assert_allclose(report.token_freq[layer][li], freq, atol=1e-12)
 
@@ -127,9 +145,9 @@ class TestFreshUpcycleRouting:
         layer = report.layers[0]
         n = hybrid.token_moe.num_experts
         for lang in report.languages:
-            log = report.gate_log[layer][lang]
-            assert np.all(log[:, 0] == 0)  # shared always on
-            assert np.all(log[:, 1] == 1)  # tie broken toward routed slot 1
+            picks = forward_picks(hybrid, corpus_streams[lang], layer, 16, 2)
+            assert np.all(picks[:, 0] == 0)  # shared always on
+            assert np.all(picks[:, 1] == 1)  # tie broken toward routed slot 1
         freq = report.token_freq[layer]
         np.testing.assert_allclose(freq[:, 0], 0.5, atol=1e-12)
         np.testing.assert_allclose(freq[:, 1], 0.5, atol=1e-12)

@@ -170,6 +170,32 @@ class TestCheckpointFile:
         assert f"payload is {payload_len + delta} bytes" in message
         assert f"ends at byte {payload_len}" in message
 
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda blob, n: blob[:12], "inside the 8-byte header length field"),
+            (lambda blob, n: blob[:8] + struct.pack("<Q", 10**12) + blob[16:],
+             "header length 1000000000000 exceeds"),
+            (lambda blob, n: blob[: 16 + n // 2], "exceeds the"),
+            (lambda blob, n: blob[:8] + struct.pack("<Q", n - 5) + blob[16:],
+             "header is not UTF-8 JSON"),
+            (lambda blob, n: blob[:16] + b"\xff" + blob[17:], "header is not UTF-8 JSON"),
+        ],
+        ids=["cut_in_length_field", "length_past_end", "cut_in_header", "header_cut_short",
+             "header_not_utf8"],
+    )
+    def test_bad_header_names_the_file(self, tmp_path, corrupt, reason):
+        path = tmp_path / "dense.ckpt"
+        ckpt_io.save(init_dense(tiny_config(), seed=8), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        path.write_bytes(corrupt(blob, header_len))
+        with pytest.raises(ValueError) as err:
+            ckpt_io.load(path)
+        assert type(err.value) is ValueError
+        assert str(path) in str(err.value)
+        assert reason in str(err.value)
+
     def test_forward_identical_after_roundtrip(self, tmp_path):
         ckpt = init_dense(tiny_config(), seed=7)
         path = tmp_path / "dense.ckpt"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hymoe.dense import ffn_forward
 from hymoe.segment_moe import (
     ExpertChoiceAssignment,
     FusionWeights,
@@ -17,7 +18,11 @@ from hymoe.tensor import (
     Tensor,
     backward,
     finite_diff_grad,
+    gather,
+    narrow,
     relative_error,
+    reshape,
+    scatter,
     tsum,
 )
 
@@ -122,10 +127,21 @@ def route(gate_rows: np.ndarray, r: int) -> ExpertChoiceAssignment:
 
     indices = top_k_rows(gate_rows, r)
     gm = Tensor(gate_rows)
-    from hymoe.tensor import take_along_cols
-
-    weights = take_along_cols(gm, indices)
+    weights = gather(gm, (np.arange(indices.shape[0])[:, None], indices))
     return ExpertChoiceAssignment(indices, weights, r, gm)
+
+
+def _per_expert_loop(experts, assign, seg_emb):
+    """The segment combine before the one expert dispatch: per expert, gather
+    its segments, FFN, scale by its row of D, scatter back."""
+    out = None
+    for i, (w1, w2) in enumerate(experts):
+        chosen = assign.indices[i]
+        y = ffn_forward(gather(seg_emb, chosen), w1, w2)
+        d_row = reshape(narrow(assign.weights, 0, i, 1), (assign.capacity, 1))
+        contrib = scatter(y * d_row, chosen, seg_emb.shape)
+        out = contrib if out is None else out + contrib
+    return out
 
 
 class TestExpertChoiceRoute:
@@ -258,6 +274,27 @@ class TestSegmentForward:
                 for vv in range(v):
                     expected[vv] += assign.onehot[i, j, vv] * assign.weights.data[i, j] * y
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    # 5 x 8 picks of 20 segments: some segments are summed from several experts
+    @pytest.mark.parametrize("n,v,r", [(6, 24, 4), (5, 20, 8)])
+    def test_bitwise_equal_to_the_per_expert_loop(self, n, v, r):
+        rng = np.random.default_rng(n * v)
+        hidden = 16
+        experts = self._experts(rng, n, hidden, 24)
+        router = Parameter("sr", rng.normal(size=(hidden, n)))
+        emb = Parameter("emb", rng.normal(size=(v, hidden)))
+        up = Tensor(rng.normal(size=(v, hidden)))
+        params = [router, emb, *[w for pair in experts for w in pair]]
+        results = []
+        for forward in (segment_moe_forward, _per_expert_loop):
+            assign = expert_choice_route(router, emb.value, r)
+            out = forward(experts, assign, emb.value)
+            backward(tsum(out * up))
+            results.append([out.data] + [p.grad for p in params])
+            for p in params:
+                p.zero_grad()
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
     def test_unselected_segments_are_zero_rows(self):
         rng = np.random.default_rng(8)

@@ -12,7 +12,7 @@ from hymoe.tensor import (
     concat,
     exp,
     finite_diff_grad,
-    gather_rows,
+    gather,
     log,
     log_softmax_axis,
     masked_fill,
@@ -22,13 +22,10 @@ from hymoe.tensor import (
     relative_error,
     reshape,
     row_runs_mean,
-    scatter_cols,
-    scatter_rows,
+    scatter,
     silu,
     softmax_axis,
     spread_row_runs,
-    take_along_cols,
-    take_pairs,
     tmean,
     top_k_indices,
     top_k_rows,
@@ -195,8 +192,8 @@ class TestBackwardOps:
         rows = np.array([0, 2, 2, 5])
 
         def build():
-            g = gather_rows(p.value, rows)
-            s = scatter_rows(g, np.array([1, 0, 3, 1]), 4)
+            g = gather(p.value, rows)
+            s = scatter(g, np.array([1, 0, 3, 1]), (4, 4))
             left = narrow(s, 1, 0, 2)
             both = concat([left, left * 2.0], axis=1)
             return tsum(both * both)
@@ -207,11 +204,12 @@ class TestBackwardOps:
         rng = np.random.default_rng(3)
         p = Parameter("w", rng.normal(size=(5, 6)))
         idx = np.array([[0, 3], [1, 2], [5, 0], [4, 4], [2, 1]])
+        along = (np.arange(5)[:, None], idx)
 
         def build():
-            picked = take_along_cols(p.value, idx)
-            dense = scatter_cols(picked, idx, 6)
-            pair = take_pairs(dense, np.array([0, 1, 4]), np.array([3, 1, 2]))
+            picked = gather(p.value, along)
+            dense = scatter(picked, along, (5, 6))
+            pair = gather(dense, (np.array([0, 1, 4]), np.array([3, 1, 2])))
             return tsum(pair * pair) + tmean(dense)
 
         _check_grad(build, p)
@@ -224,7 +222,7 @@ class TestBackwardOps:
 
         def build():
             y = log_softmax_axis(masked_fill(p.value, mask, -1e30), axis=1)
-            live = take_pairs(y, np.arange(4), np.zeros(4, dtype=int))
+            live = gather(y, (np.arange(4), np.zeros(4, dtype=int)))
             return -tmean(live)
 
         _check_grad(build, p)
@@ -366,6 +364,81 @@ class TestCausalAttention:
             causal_attention(x, x, x, 2, _causal(5), -1e30)
         with pytest.raises(ShapeError):
             causal_attention(x, x, x, 4, _causal(7), -1e30)
+
+
+def _op_and_input_grad(op, a, up):
+    """Forward of ``op(a)`` and the gradient it hands ``a`` for upstream ``up``."""
+    x = Tensor(a.copy(), requires_grad=True)
+    out = op(x)
+    backward(tsum(out * Tensor(up)))  # d/d(out) is exactly ``up``
+    return out.data, x.grad
+
+
+def _add_at(shape, index, values):
+    out = np.zeros(shape)
+    np.add.at(out, index, values)
+    return out
+
+
+class TestGatherScatter:
+    """``gather`` and ``scatter`` against the formulas of the five index ops
+    they replace (row gather/scatter, per-row column gather/scatter, element
+    pairs), rebuilt here in plain numpy; every result must agree bit for bit."""
+
+    a = np.random.default_rng(12).normal(size=(6, 5))
+    rows = np.array([4, 0, 4, 2, 4, 5])  # duplicates sum in the backward
+    cols = np.array([[0, 3, 3], [1, 2, 0], [4, 4, 4], [2, 1, 0], [3, 0, 1], [1, 1, 2]])
+    along = (np.broadcast_to(np.arange(6)[:, None], cols.shape), cols)
+
+    def _check(self, op, a, up, want_out, want_grad):
+        got_out, got_grad = _op_and_input_grad(op, a, up)
+        np.testing.assert_array_equal(got_out, want_out)
+        np.testing.assert_array_equal(got_grad, want_grad)
+
+    def test_rows(self):
+        rng = np.random.default_rng(13)
+        up = rng.normal(size=(6, 5))
+        self._check(lambda x: gather(x, self.rows), self.a, up,
+                    self.a[self.rows], _add_at(self.a.shape, self.rows, up))
+        values = rng.normal(size=(6, 5))
+        up = rng.normal(size=(7, 5))
+        self._check(lambda v: scatter(v, self.rows, (7, 5)), values, up,
+                    _add_at((7, 5), self.rows, values), up[self.rows])
+
+    def test_columns_along_rows(self):
+        rng = np.random.default_rng(14)
+        up = rng.normal(size=self.cols.shape)
+        index = (np.arange(6)[:, None], self.cols)
+        self._check(lambda x: gather(x, index), self.a, up,
+                    np.take_along_axis(self.a, self.cols, axis=1),
+                    _add_at(self.a.shape, self.along, up))
+        values = rng.normal(size=self.cols.shape)
+        up = rng.normal(size=(6, 5))
+        self._check(lambda v: scatter(v, index, (6, 5)), values, up,
+                    _add_at((6, 5), self.along, values), up[self.along])
+
+    def test_element_pairs(self):
+        pairs = (np.array([0, 3, 3, 5, 0]), np.array([1, 4, 4, 0, 1]))
+        up = np.random.default_rng(15).normal(size=5)
+        self._check(lambda x: gather(x, pairs), self.a, up,
+                    self.a[pairs], _add_at(self.a.shape, pairs, up))
+
+    @pytest.mark.parametrize("index", [
+        np.array([0, 6]),
+        np.array([-1, 2]),
+        (np.array([0, 1]), np.array([2, 5])),
+        (np.array([0, 1]), np.array([1, 2, 3])),
+        (np.array([0]), np.array([0]), np.array([0])),
+    ], ids=["row_past_end", "negative_row", "col_past_end", "no_broadcast", "too_many_axes"])
+    def test_index_that_does_not_fit_raises(self, index):
+        with pytest.raises(ShapeError):
+            gather(Tensor(self.a), index)
+        with pytest.raises(ShapeError):
+            scatter(Tensor(np.ones(2)), index, self.a.shape)
+
+    def test_scatter_values_must_match_the_selection(self):
+        with pytest.raises(ShapeError, match="values"):
+            scatter(Tensor(np.ones((3, 4))), np.array([0, 1, 2]), (6, 5))
 
 
 def _run_matrices(starts, width, num_rows):

@@ -8,7 +8,12 @@ from hymoe.tensor import (
     Tensor,
     backward,
     finite_diff_grad,
+    gather,
+    narrow,
     relative_error,
+    reshape,
+    scatter,
+    tsum,
 )
 from hymoe.token_moe import (
     GateAssignment,
@@ -194,6 +199,73 @@ class TestForward:
                 expected[t] += dense[t, i] * (act @ w2.data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
+    def test_bitwise_equal_to_the_per_expert_loop_at_top3(self):
+        rng = np.random.default_rng(10)
+        hidden, ffn, n, k, t = 16, 24, 6, 3, 40
+        shared = (
+            Parameter("s.w1", rng.normal(0, 0.5, size=(hidden, ffn)), trainable=False),
+            Parameter("s.w2", rng.normal(0, 0.5, size=(ffn, hidden)), trainable=False),
+        )
+        routed = make_experts(rng, n - 1, hidden, ffn)
+        router = Parameter("r", rng.normal(size=(hidden, n)))
+        x = Parameter("x", rng.normal(size=(t, hidden)))
+        up = Tensor(rng.normal(size=(t, hidden)))
+        params = [router, x, *[w for pair in routed for w in pair]]
+        results = []
+        for forward in (token_moe_forward, _per_expert_loop):
+            scores = token_affinity_scores(router, x.value)
+            assign = compute_token_gates(scores, cfg(n=n, k=k, hidden=hidden), "shared-normalized")
+            out = forward(routed, shared, assign, x.value)
+            backward(tsum(out * up))
+            results.append([out.data] + [p.grad for p in params])
+            for p in params:
+                p.zero_grad()
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_vanilla_shared_expert_picked_in_any_slot_or_not_at_all(self):
+        rng = np.random.default_rng(11)
+        hidden, ffn, n, k = 6, 9, 4, 2
+        shared = make_experts(rng, 1, hidden, ffn)[0]
+        routed = make_experts(rng, n - 1, hidden, ffn)
+        # Scores, not affinities: each row's values are >= 0.02 apart, so the
+        # selection holds under the finite-difference probes below.
+        scores = Parameter("scores", np.array([
+            [0.50, 0.30, 0.15, 0.05],  # expert 0 in slot 0
+            [0.30, 0.45, 0.20, 0.05],  # expert 0 in slot 1
+            [0.05, 0.40, 0.35, 0.20],  # expert 0 not picked
+            [0.10, 0.20, 0.30, 0.40],  # expert 0 not picked
+            [0.42, 0.08, 0.10, 0.40],  # expert 0 in slot 0
+            [0.25, 0.10, 0.60, 0.05],  # expert 0 in slot 1
+        ]))
+        x = Parameter("x", rng.normal(size=(6, hidden)))
+
+        def run():
+            assign = compute_token_gates(scores.value, cfg(n=n, k=k, hidden=hidden), "vanilla")
+            out = token_moe_forward(routed, shared, assign, x.value)
+            return assign, out, tsum(out * out)
+
+        assign, out, loss = run()
+        picked_zero = assign.indices == 0
+        assert picked_zero[:, 0].any() and picked_zero[:, 1].any()
+        assert (~picked_zero.any(axis=1)).any()
+        # masked-gate oracle: every expert on every token, gate 0 unless in the top k
+        top = np.argsort(-scores.data, axis=1, kind="stable")[:, :k]
+        gate = np.zeros_like(scores.data)
+        np.put_along_axis(gate, top, np.take_along_axis(scores.data, top, axis=1), axis=1)
+        expected = np.zeros_like(x.data)
+        for t in range(x.data.shape[0]):
+            for i, (w1, w2) in enumerate([shared] + routed):
+                pre = x.data[t] @ w1.data
+                expected[t] += gate[t, i] * ((pre / (1.0 + np.exp(-pre))) @ w2.data)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+        backward(loss)
+        for p in (scores, x, shared[0], routed[0][1]):
+            analytic = p.grad.copy()
+            numeric = finite_diff_grad(lambda: run()[2].item(), p)
+            assert relative_error(analytic, numeric) <= 1e-6, p.name
+
     def test_expert_count_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         shared = make_experts(rng, 1, 4, 6)[0]
@@ -203,6 +275,26 @@ class TestForward:
         assign = compute_token_gates(scores, cfg(n=5, k=2, hidden=4), "shared-normalized")
         with pytest.raises(ShapeError, match="expert count"):
             token_moe_forward(routed, shared, assign, x)
+
+
+def _per_expert_loop(routed, shared, assign, x):
+    """The token combine before the one expert dispatch: expert 0 without a
+    gather when it holds slot 0 of every token, then one gather -> FFN ->
+    scale -> scatter round per expert that has tokens."""
+    experts = [shared] + list(routed)
+    out, start = None, 0
+    if (assign.indices[:, 0] == 0).all():
+        out = ffn_forward(x, *shared) * narrow(assign.gates, 1, 0, 1)
+        start = 1
+    for i in range(start, len(experts)):
+        rows, slots = np.nonzero(assign.indices == i)
+        if rows.size == 0:
+            continue
+        y = ffn_forward(gather(x, rows), *experts[i])
+        weights = reshape(gather(assign.gates, (rows, slots)), (rows.size, 1))
+        contrib = scatter(y * weights, rows, x.shape)
+        out = contrib if out is None else out + contrib
+    return out
 
 
 def margin_ok(scores: np.ndarray, k: int, margin: float = 1e-3) -> bool:

@@ -1,0 +1,133 @@
+"""Golden digests: one JSON line of SHA-256 prefixes that a refactor must not move.
+
+For each model shape the script upcycles a seeded dense model and prints the
+digest of
+
+* ``fidelity_logits``: every dense and hybrid logit ``fidelity_check``
+  compares, and ``fidelity``, the value it returns;
+* ``params``: every parameter after 6 training steps at the desk batch
+  (B=8, T=256) on seeded random tokens;
+* ``logits_t100`` and ``logits_t256``: hybrid logits of 4 seeded samples at
+  T=100 and T=256 after those steps;
+* ``ckpt_bytes``: the bytes of the saved hybrid checkpoint.
+
+Shapes: ``desk`` (dense seed 11, 6 token + 6 segment experts, top-2,
+window 32) and ``w24_e5_k3`` (window 24, 5 + 5 experts, top-3).
+
+Run it on the source tree before and after a refactor that claims bitwise
+equality, and compare the two lines::
+
+    python3 tools/golden_digests.py --src /path/to/parent/src
+    python3 tools/golden_digests.py
+
+The digests depend on the numpy/BLAS build, so no expected values are kept;
+BLAS is pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SHAPES = {
+    "desk": {"tok_experts": 6, "seg_experts": 6, "top_k": 2, "window": 32},
+    "w24_e5_k3": {"tok_experts": 5, "seg_experts": 5, "top_k": 3, "window": 24},
+}
+DENSE_SEED = 11
+STEPS = 6
+BATCH, SEQ_LEN = 8, 256
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def shape_digests(shape: dict) -> dict:
+    import numpy as np
+
+    from hymoe import checkpoint
+    from hymoe.dense import DenseConfig, init_dense
+    from hymoe.hybrid import hybrid_forward_batch
+    from hymoe.segment_moe import SegmentMoEConfig
+    from hymoe.token_moe import TokenMoEConfig
+    from hymoe.training import TrainConfig, training_step
+
+    # The module, not the function that the package __init__ binds to its name.
+    module = importlib.import_module("hymoe.upcycle")
+    dense = init_dense(DenseConfig(), seed=DENSE_SEED)
+    hidden = dense.config.hidden_size
+    hybrid = module.upcycle(
+        dense,
+        TokenMoEConfig(shape["tok_experts"], shape["top_k"], hidden),
+        SegmentMoEConfig(shape["seg_experts"], shape["window"], 1.0, hidden),
+    )
+
+    # Record the logits fidelity_check compares by wrapping the forwards it calls.
+    probes: list = []
+    originals = module.dense_forward, module.hybrid_forward
+
+    def recording(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            probes.append(out.data)
+            return out
+
+        return wrapped
+
+    module.dense_forward, module.hybrid_forward = (recording(f) for f in originals)
+    try:
+        fidelity = module.fidelity_check(dense, hybrid)
+    finally:
+        module.dense_forward, module.hybrid_forward = originals
+
+    rng = np.random.default_rng(DENSE_SEED)
+    cfg = TrainConfig(batch_size=BATCH, seq_len=SEQ_LEN, steps=STEPS)
+    for step in range(STEPS):
+        rows = rng.integers(0, dense.config.vocab_size, size=(BATCH, SEQ_LEN + 1))
+        training_step(hybrid, list(rows[:, :-1]), list(rows[:, 1:]), cfg, step)
+
+    out = {
+        "fidelity_logits": _digest(probes),
+        "fidelity": fidelity,
+        "params": _digest(hybrid.params[n].data for n in sorted(hybrid.params)),
+    }
+    for length in (100, 256):
+        samples = list(rng.integers(0, dense.config.vocab_size, size=(4, length)))
+        logits, _ = hybrid_forward_batch(hybrid, samples)
+        out[f"logits_t{length}"] = _digest(lg.data for lg in logits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hybrid.ckpt"
+        checkpoint.save(hybrid, path)
+        out["ckpt_bytes"] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src",
+        default=str(Path(__file__).resolve().parent.parent / "src"),
+        help="source tree to import hymoe from (default: this checkout's src/)",
+    )
+    args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # before numpy is first imported
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import hymoe
+
+    print(f"hymoe from {Path(hymoe.__file__).parent}", file=sys.stderr)
+    print(json.dumps({name: shape_digests(shape) for name, shape in SHAPES.items()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
