@@ -110,8 +110,8 @@ def routing_analytics(
         for start in range(0, len(samples), batch_size):
             chunk = samples[start : start + batch_size]
             _, trace = hybrid_forward_batch(ckpt, chunk)
-            plan = trace.plan  # each segment's window position inside its sample:
-            pos = np.array([t0 // plan.window for _, t0, _ in plan.spans], dtype=np.int64)
+            plan = trace.plan  # each segment's window position inside its sample
+            pos = plan.starts % plan.row_stride // plan.window
             for layer in layers:
                 lt = trace.layers[layer]
                 picked = lt.gates.indices[trace.real_rows]

@@ -12,7 +12,8 @@ to the start of the payload. Dense and hybrid checkpoints share the format,
 hybrid ones simply carry the extra parameter names and config blocks.
 ``load`` refuses, naming the file, a header length field that is cut short
 or points past the end of the file, a header that is not UTF-8 JSON, and a
-payload whose length is not where the manifest ends.
+payload whose length is not where the manifest ends. ``save`` renames a
+temporary file over the target, so a failed write never leaves a torn file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .dense import DenseCheckpoint, DenseConfig
+from .hybrid import HybridCheckpoint
+from .segment_moe import SegmentMoEConfig
 from .tensor import Parameter
+from .token_moe import TokenMoEConfig
 
 MAGIC = b"HYMOECK1"
 
@@ -53,11 +57,18 @@ def _manifest(params: dict[str, Parameter]) -> tuple[list[dict], bytes]:
 
 def _write(path: str | Path, header: dict, payload: bytes) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(path: str | Path) -> tuple[dict, bytes]:
@@ -111,10 +122,6 @@ def load(path: str | Path):
     if header["kind"] == "dense":
         return DenseCheckpoint(config=config, params=params, meta=header.get("meta", {}))
     if header["kind"] == "hybrid":
-        from .hybrid import HybridCheckpoint
-        from .segment_moe import SegmentMoEConfig
-        from .token_moe import TokenMoEConfig
-
         return HybridCheckpoint(
             config=config,
             token_moe=TokenMoEConfig(**header["token_moe"]),
@@ -127,8 +134,6 @@ def load(path: str | Path):
 
 def save(ckpt, path: str | Path) -> None:
     """Write a dense or hybrid checkpoint; each config block is its dataclass's fields."""
-    from .hybrid import HybridCheckpoint
-
     if isinstance(ckpt, HybridCheckpoint):
         kind, blocks = "hybrid", ("config", "token_moe", "segment_moe")
     elif isinstance(ckpt, DenseCheckpoint):

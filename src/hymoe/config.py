@@ -35,7 +35,6 @@ class RunSettings:
     learning_rate: float = 0.05
     alpha: float = 0.01
     warmup_steps: int = 0
-    balance_includes_shared: bool = True
     checkpoint_every: int = 100
     eval_blocks: int = 8
     # dense init fields, used when model=dense and no init_checkpoint is given

@@ -127,7 +127,7 @@ def hybrid_forward_batch(
     def moe_block(l: int, u: Tensor) -> Tensor:
         pre = f"layer.{l}"
         scores = token_affinity_scores(ckpt.param(f"{pre}.token_router"), u)
-        gates = compute_token_gates(scores, ckpt.token_moe, "shared-normalized")
+        gates = compute_token_gates(scores, ckpt.token_moe)
         o_tok = token_moe_forward(
             ckpt.routed_experts(l), ckpt.shared_expert(l), gates, u
         )

@@ -1,11 +1,13 @@
 """Next-token-prediction loss, load-balance loss, and the combined report.
 
 The balance term is computed per layer from the token-level gate history and
-summed: alpha * N * sum_i f_i * p_i, where f_i is the fraction of selections
-that went to expert i (each token contributes K selections, normalized by
-K*T) and p_i is the mean gate value of expert i over all T tokens. f is a
-piecewise-constant selection statistic and carries no gradient; p rides the
-tape, so the router is steered away from collapse through the gate values.
+summed: alpha * N * sum_i f_i * p_i over all N experts, the shared expert
+included (Switch Transformer, Fedus et al. 2021). f_i is the fraction of
+selections that went to expert i (each token contributes K selections,
+normalized by K*T) and p_i is the mean gate value of expert i over all T
+tokens. f is a piecewise-constant selection statistic and carries no gradient;
+p rides the tape, so the router is steered away from collapse through the gate
+values.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, gather, log_softmax_axis, tmean, tsum
+from .tensor import ShapeError, Tensor, gather, log_softmax_axis, scatter, tmean, tsum
 from .token_moe import GateAssignment
 
 
@@ -46,17 +48,13 @@ def load_balance_loss(
     gate_history: Sequence[GateAssignment],
     alpha: float,
     token_rows: np.ndarray | None = None,
-    include_shared: bool = True,
 ) -> BalanceResult:
     """Per-layer alpha * N * sum_i f_i * p_i, summed over layers.
 
     ``gate_history`` holds one GateAssignment per layer for the batch.
     ``token_rows`` restricts the statistics to those rows (used to drop
-    padding positions); by default every row counts. With
-    ``include_shared=False`` the always-selected expert 0 is dropped from the
-    sum (its f is the constant 1/K in shared-normalized mode, so including it
-    only shifts the loss by a near-constant); the reported f/p vectors always
-    cover all experts.
+    padding positions); by default every row counts. p comes from the
+    [T x N] gate matrix of those rows, 0 where a token did not pick an expert.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -65,17 +63,16 @@ def load_balance_loss(
     per_layer_p: list[np.ndarray] = []
     for assign in gate_history:
         n = assign.num_experts
-        dense = assign.dense_gates()
-        indices = assign.indices
+        gates, indices = assign.gates, assign.indices
         if token_rows is not None:
-            dense = gather(dense, token_rows)
+            gates = gather(gates, token_rows)
             indices = indices[token_rows]
         t_count = indices.shape[0]
+        dense = scatter(gates, (np.arange(t_count)[:, None], indices), (t_count, n))
         counts = np.bincount(indices.reshape(-1), minlength=n)
         f = counts / (assign.top_k * t_count)
         p = tmean(dense, axis=0)
-        f_term = f if include_shared else np.concatenate([[0.0], f[1:]])
-        layer_loss = tsum(p * Tensor(f_term)) * (alpha * n)
+        layer_loss = tsum(p * Tensor(f)) * (alpha * n)
         per_layer_f.append(f)
         per_layer_p.append(p.data.copy())
         total = layer_loss if total is None else total + layer_loss

@@ -12,7 +12,7 @@ the token path bit for bit.
 Segments are disjoint runs of contiguous rows in the flattened batch, so the
 pooling and the broadcast are index operations over those runs
 (:func:`~hymoe.tensor.row_runs_mean`, :func:`~hymoe.tensor.spread_row_runs`)
-located by :func:`segment_starts`; no [segments x rows] matrix is built.
+located by the plan's ``starts``; no [segments x rows] matrix is built.
 Each expert's picked segments go through :func:`hymoe.dense.mix_experts`, the
 dispatch the token MoE uses too.
 """
@@ -67,45 +67,32 @@ class SegmentationPlan:
     """Where each segment lives inside a flattened [B * row_stride, hidden] batch.
 
     ``spans[v] = (sample, start, end)`` in token coordinates; flattened row
-    indices are ``sample * row_stride + t``. Tokens past the last full window
+    indices are ``sample * row_stride + t``, and ``starts[v]`` is the
+    flattened row of segment v's first token. Tokens past the last full window
     of a sample are recorded in ``leftover`` and receive no segment output.
     """
 
     batch_size: int
-    lengths: tuple[int, ...]
     window: int
     row_stride: int
     spans: list[tuple[int, int, int]]
     leftover: list[tuple[int, int, int]]
+    starts: np.ndarray
 
     @property
     def total_segments(self) -> int:
         return len(self.spans)
 
-    def segments_per_sample(self, sample: int) -> int:
-        return self.lengths[sample] // self.window
-
 
 def partition_segments(
-    lengths: int | tuple[int, ...] | list[int],
-    cfg: SegmentMoEConfig,
-    batch_size: int | None = None,
-    row_stride: int | None = None,
+    lengths: tuple[int, ...], cfg: SegmentMoEConfig, row_stride: int
 ) -> SegmentationPlan:
     """Plan disjoint, contiguous windows of exactly ``cfg.window`` tokens.
 
-    ``lengths`` is either one length shared by all samples (with
-    ``batch_size``) or one length per sample. Samples shorter than the window
-    contribute no segments; their tokens are all leftover.
+    ``lengths`` holds one length per sample, each sample padded to
+    ``row_stride`` rows. Samples shorter than the window contribute no
+    segments; their tokens are all leftover.
     """
-    if cfg.window < 1:
-        raise ValueError("window must be >= 1")
-    if isinstance(lengths, int):
-        if batch_size is None:
-            raise ValueError("batch_size required when a single length is given")
-        lengths = (lengths,) * batch_size
-    lengths = tuple(int(t) for t in lengths)
-    stride = row_stride if row_stride is not None else max(lengths)
     spans: list[tuple[int, int, int]] = []
     leftover: list[tuple[int, int, int]] = []
     for b, t_len in enumerate(lengths):
@@ -116,18 +103,11 @@ def partition_segments(
             leftover.append((b, p * cfg.window, t_len))
     return SegmentationPlan(
         batch_size=len(lengths),
-        lengths=lengths,
         window=cfg.window,
-        row_stride=stride,
+        row_stride=row_stride,
         spans=spans,
         leftover=leftover,
-    )
-
-
-def segment_starts(plan: SegmentationPlan) -> np.ndarray:
-    """Flattened row index of each segment's first token, in segment order."""
-    return np.array(
-        [b * plan.row_stride + start for b, start, _ in plan.spans], dtype=np.int64
+        starts=np.array([b * row_stride + start for b, start, _ in spans], dtype=np.int64),
     )
 
 
@@ -136,7 +116,7 @@ def embed_segments(plan: SegmentationPlan, hidden: Tensor) -> Tensor:
     expected = plan.batch_size * plan.row_stride
     if hidden.shape[0] != expected:
         raise ShapeError(f"hidden rows {hidden.shape} inconsistent with plan rows {expected}")
-    return row_runs_mean(hidden, segment_starts(plan), plan.window)
+    return row_runs_mean(hidden, plan.starts, plan.window)
 
 
 def compute_capacity(total_segments: int, cfg: SegmentMoEConfig) -> int:
@@ -166,7 +146,7 @@ class ExpertChoiceAssignment:
 
 
 def expert_choice_route(
-    router_weight: Tensor | Parameter, seg_emb: Tensor, capacity: int
+    router: Parameter, seg_emb: Tensor, capacity: int
 ) -> ExpertChoiceAssignment:
     """Each expert takes its top-``capacity`` segments by affinity.
 
@@ -174,11 +154,10 @@ def expert_choice_route(
     matrix is transposed so rows are experts. Row-wise top-k uses the global
     tie rule (lower segment id wins).
     """
-    w = router_weight.value if isinstance(router_weight, Parameter) else router_weight
     total = seg_emb.shape[0]
     if capacity > total:
         raise ValueError(f"capacity {capacity} exceeds segment count {total}")
-    gate_matrix = transpose(softmax_axis(matmul(seg_emb, w), axis=1))
+    gate_matrix = transpose(softmax_axis(matmul(seg_emb, router.value), axis=1))
     indices = top_k_rows(gate_matrix.data, capacity)
     weights = gather(gate_matrix, (np.arange(indices.shape[0])[:, None], indices))
     return ExpertChoiceAssignment(indices, weights, capacity, gate_matrix)
@@ -223,6 +202,6 @@ def fuse_layer_outputs(
     fused = matmul(o_tok, fusion.token.value)
     if o_seg is not None and plan.total_segments > 0:
         rows = plan.batch_size * plan.row_stride
-        spread = spread_row_runs(o_seg, segment_starts(plan), plan.window, rows)
+        spread = spread_row_runs(o_seg, plan.starts, plan.window, rows)
         fused = fused + matmul(spread, fusion.segment.value)
     return fused

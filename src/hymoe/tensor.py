@@ -235,25 +235,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = constant(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    a = constant(a)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x); the smooth nonlinearity used by every FFN and expert."""
     a = constant(a)

@@ -1,17 +1,13 @@
 """Token-level MoE: a shared expert plus routed experts with normalized gating.
 
 The router scores all experts with one softmax; expert slot 0 is the shared
-expert. Two gating modes:
-
-* ``"vanilla"``     — plain token-choice: the top-K affinity scores become the
-  gate values unchanged, everything else gates to 0. The gates of a token do
-  not generally sum to 1.
-* ``"shared-normalized"`` — the shared expert is always selected, the best
-  K-1 of the remaining experts join it, and the K selected scores are divided
-  by their sum, so each token's gates add up to exactly 1.
+expert. Every token selects the shared expert in gate slot 0, the best K-1
+routed experts join it, and the K selected scores are divided by their sum, so
+each token's gates add up to exactly 1.
 
 Selections are discrete and fixed during backprop; gradients flow only
-through the selected scores' values. Routed experts are dispatched by
+through the selected scores' values. The shared expert runs on every token,
+scaled by gate slot 0; routed experts are dispatched by
 :func:`hymoe.dense.mix_experts`, as the segment MoE's experts are.
 """
 
@@ -29,13 +25,10 @@ from .tensor import (
     gather,
     matmul,
     narrow,
-    scatter,
     softmax_axis,
     top_k_rows,
     tsum,
 )
-
-GATING_MODES = ("vanilla", "shared-normalized")
 
 
 @dataclass(frozen=True)
@@ -61,55 +54,34 @@ class TokenMoEConfig:
 class GateAssignment:
     """Per-token expert selection and differentiable gate values.
 
-    ``indices`` is [T x K] (slot 0 holds the shared expert in
-    shared-normalized mode), ``gates`` the matching gate values, ``scores``
-    the full [T x N] affinity matrix, and ``norm`` the per-token scaling
-    factor (None in vanilla mode, where no normalization happens).
+    ``indices`` is [T x K] with the shared expert 0 in slot 0, ``gates`` the
+    matching gate values, and ``scores`` the full [T x N] affinity matrix.
     """
 
-    mode: str
     num_experts: int
     top_k: int
     indices: np.ndarray
     gates: Tensor
     scores: Tensor
-    norm: Tensor | None
-
-    def dense_gates(self) -> Tensor:
-        """[T x N] gate matrix; unselected experts are exactly 0."""
-        t = self.indices.shape[0]
-        return scatter(self.gates, (np.arange(t)[:, None], self.indices), (t, self.num_experts))
 
 
-def token_affinity_scores(router_weight: Tensor | Parameter, x: Tensor) -> Tensor:
+def token_affinity_scores(router: Parameter, x: Tensor) -> Tensor:
     """Affinity rows: softmax over experts of x @ W, one row per token."""
-    w = router_weight.value if isinstance(router_weight, Parameter) else router_weight
-    return softmax_axis(matmul(x, w), axis=1)
+    return softmax_axis(matmul(x, router.value), axis=1)
 
 
-def compute_token_gates(scores: Tensor, cfg: TokenMoEConfig, mode: str) -> GateAssignment:
-    if mode not in GATING_MODES:
-        raise ValueError(f"unknown gating mode {mode!r}; expected one of {GATING_MODES}")
+def compute_token_gates(scores: Tensor, cfg: TokenMoEConfig) -> GateAssignment:
+    """Shared expert in slot 0, then the best K-1 routed experts; gates sum to 1."""
     if scores.ndim != 2 or scores.shape[1] != cfg.num_experts:
         raise ShapeError(
             f"scores shape {scores.shape} inconsistent with num_experts {cfg.num_experts}"
         )
     T = scores.shape[0]
-    k = cfg.top_k
-    rows = np.arange(T)[:, None]  # with a [T x K] column index: one element per (t, slot)
-
-    if mode == "vanilla":
-        order = top_k_rows(scores.data, k)
-        gates = gather(scores, (rows, order))
-        return GateAssignment(mode, cfg.num_experts, k, order, gates, scores, None)
-
-    # shared-normalized: slot 0 is forced, then the best K-1 routed experts.
-    routed_order = top_k_rows(scores.data[:, 1:], k - 1) + 1
+    routed_order = top_k_rows(scores.data[:, 1:], cfg.top_k - 1) + 1
     indices = np.concatenate([np.zeros((T, 1), dtype=np.int64), routed_order], axis=1)
-    selected = gather(scores, (rows, indices))
-    norm = tsum(selected, axis=1, keepdims=True)
-    gates = selected / norm
-    return GateAssignment(mode, cfg.num_experts, k, indices, gates, scores, norm)
+    selected = gather(scores, (np.arange(T)[:, None], indices))  # one per (token, slot)
+    gates = selected / tsum(selected, axis=1, keepdims=True)
+    return GateAssignment(cfg.num_experts, cfg.top_k, indices, gates, scores)
 
 
 def token_moe_forward(
@@ -122,15 +94,17 @@ def token_moe_forward(
 
     ``routed_experts`` hold slots 1..N-1; ``shared_expert`` is slot 0 (its
     parameters are expected to be frozen — the flag lives on the Parameters).
-    The shared expert runs on every token, scaled by its dense gate column (0
-    where a vanilla-mode token did not pick it); a routed one on its picks.
+    The shared expert runs on every token, scaled by gate slot 0, which must
+    hold expert 0 and no other slot may; a routed one runs on its picks.
     """
     if 1 + len(routed_experts) != assign.num_experts:
         raise ShapeError(f"expert count {1 + len(routed_experts)} does not match "
                          f"assignment num_experts {assign.num_experts}")
     if x.shape[0] != assign.indices.shape[0]:
         raise ShapeError(f"token count disagrees: x {x.shape} vs gates {assign.indices.shape}")
-    shared = ffn_forward(x, *shared_expert) * narrow(assign.dense_gates(), 1, 0, 1)
+    if (assign.indices[:, 0] != 0).any() or (assign.indices[:, 1:] == 0).any():
+        raise ShapeError("the shared expert 0 must hold gate slot 0 and no other slot")
+    shared = ffn_forward(x, *shared_expert) * narrow(assign.gates, 1, 0, 1)
     picked = (np.nonzero(assign.indices == i) for i in range(1, assign.num_experts))
     picks = [(rows, (rows, slots)) for rows, slots in picked]
     return mix_experts(routed_experts, x, assign.gates, picks, out=shared)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .dense import dense_forward_batch
 from .hybrid import HybridCheckpoint, HybridTrace, hybrid_forward_batch
 from .losses import LossReport, load_balance_loss, ntp_loss
@@ -30,7 +32,6 @@ class TrainConfig:
     steps: int = 200
     seed: int = 0
     warmup_steps: int = 0
-    balance_includes_shared: bool = True
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -76,16 +77,14 @@ def training_step(
     cfg: TrainConfig,
     step: int,
 ) -> LossReport:
-    """One SGD step on the batch; updates trainable parameters only."""
+    """One SGD step on the batch; updates trainable parameters only, and none
+    if the loss or a trainable gradient is not finite."""
     logits, trace = _forward(ckpt, samples)
     l_ntp = _mean_ntp(logits, targets)
     total, balance = l_ntp, None
     if trace is not None:
         balance = load_balance_loss(
-            [layer.gates for layer in trace.layers],
-            cfg.alpha,
-            trace.real_rows,
-            include_shared=cfg.balance_includes_shared,
+            [layer.gates for layer in trace.layers], cfg.alpha, trace.real_rows
         )
         total = l_ntp + balance.loss
     total_val = total.item()
@@ -95,6 +94,10 @@ def training_step(
             f"non-finite loss at step {step}: ntp={l_ntp.item()!r}, balance={l_balance!r}"
         )
     backward(total)
+    for name, p in ckpt.params.items():
+        grad = p.value.grad
+        if p.trainable and grad is not None and not np.isfinite(grad).all():
+            raise RuntimeError(f"non-finite gradient of {name} at step {step}")
     lr = cosine_lr(cfg.learning_rate, step, cfg.steps, cfg.warmup_steps)
     for p in ckpt.params.values():
         if p.trainable and p.value.grad is not None:

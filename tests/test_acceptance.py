@@ -83,9 +83,7 @@ def test_criterion_2_gate_normalization():
             router = Parameter("r", rng.normal(0, 1.0, size=(hidden, n)))
             x = Tensor(rng.normal(size=(t, hidden)))
             cfg = TokenMoEConfig(num_experts=n, top_k=k, hidden_size=hidden)
-            assign = compute_token_gates(
-                token_affinity_scores(router, x), cfg, "shared-normalized"
-            )
+            assign = compute_token_gates(token_affinity_scores(router, x), cfg)
             sums = assign.gates.data.sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 1e-12)
             assert np.all(assign.indices[:, 0] == 0)
@@ -108,7 +106,7 @@ def test_criterion_3_uniform_balance_loss_equals_alpha():
                 )
                 gates = Tensor(np.full((tokens, k), 1.0 / k))
                 scores = Tensor(np.full((tokens, n), 1.0 / n))
-                layers.append(GateAssignment("vanilla", n, k, indices, gates, scores, None))
+                layers.append(GateAssignment(n, k, indices, gates, scores))
             result = load_balance_loss(layers, alpha=alpha)
             assert abs(result.loss.item() - alpha * len(layers)) <= 1e-9 * len(layers)
 

@@ -196,6 +196,37 @@ class TestCheckpointFile:
         assert str(path) in str(err.value)
         assert reason in str(err.value)
 
+    def test_failed_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "final.ckpt"
+        ckpt_io.save(init_dense(tiny_config(), seed=5), path)
+        before = path.read_bytes()
+
+        class FailsInPayload:
+            """A file whose fourth write, the payload, stops half way."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(ckpt_io, "open", lambda p, mode: FailsInPayload(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            ckpt_io.save(init_dense(tiny_config(), seed=6), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_forward_identical_after_roundtrip(self, tmp_path):
         ckpt = init_dense(tiny_config(), seed=7)
         path = tmp_path / "dense.ckpt"

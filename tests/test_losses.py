@@ -46,7 +46,7 @@ def round_robin_assignment(n: int, k: int, tokens: int) -> GateAssignment:
     )
     gates = Tensor(np.full((tokens, k), 1.0 / k))
     scores = Tensor(np.full((tokens, n), 1.0 / n))
-    return GateAssignment("vanilla", n, k, indices, gates, scores, None)
+    return GateAssignment(n, k, indices, gates, scores)
 
 
 def balance_oracle(assignments, alpha):
@@ -80,8 +80,9 @@ class TestBalanceLoss:
         # hand-built degenerate batch: every token picks the same two experts
         n, k, tokens = 4, 2, 6
         scores = np.tile(np.array([[0.7, 0.2, 0.06, 0.04]]), (tokens, 1))
-        cfg = TokenMoEConfig(num_experts=n, top_k=k, hidden_size=4)
-        assign = compute_token_gates(Tensor(scores), cfg, "vanilla")
+        indices = np.tile(np.array([[0, 1]]), (tokens, 1))
+        gates = Tensor(scores[:, :k])  # the top-2 scores, not renormalized
+        assign = GateAssignment(n, k, indices, gates, Tensor(scores))
         result = load_balance_loss([assign], alpha=0.01)
         # f = (1/2, 1/2, 0, 0); p = (0.7, 0.2, 0, 0); loss = a*4*0.45
         np.testing.assert_allclose(result.loss.item(), 0.01 * 4 * 0.45, atol=1e-15)
@@ -90,9 +91,7 @@ class TestBalanceLoss:
     def test_alpha_zero_kills_loss(self):
         rng = np.random.default_rng(1)
         cfg = TokenMoEConfig(num_experts=5, top_k=2, hidden_size=4)
-        assign = compute_token_gates(
-            Tensor(rng.dirichlet(np.ones(5), size=12)), cfg, "shared-normalized"
-        )
+        assign = compute_token_gates(Tensor(rng.dirichlet(np.ones(5), size=12)), cfg)
         result = load_balance_loss([assign], alpha=0.0)
         assert result.loss.item() == 0.0
 
@@ -104,9 +103,7 @@ class TestBalanceLoss:
             t = int(rng.integers(2, 20))
             cfg = TokenMoEConfig(num_experts=n, top_k=k, hidden_size=4)
             layers = [
-                compute_token_gates(
-                    Tensor(rng.dirichlet(np.ones(n), size=t)), cfg, "shared-normalized"
-                )
+                compute_token_gates(Tensor(rng.dirichlet(np.ones(n), size=t)), cfg)
                 for _ in range(int(rng.integers(1, 4)))
             ]
             result = load_balance_loss(layers, alpha=0.01)
@@ -117,9 +114,7 @@ class TestBalanceLoss:
     def test_shared_normalized_f_and_p_sum_to_one(self):
         rng = np.random.default_rng(3)
         cfg = TokenMoEConfig(num_experts=6, top_k=2, hidden_size=4)
-        assign = compute_token_gates(
-            Tensor(rng.dirichlet(np.ones(6), size=40)), cfg, "shared-normalized"
-        )
+        assign = compute_token_gates(Tensor(rng.dirichlet(np.ones(6), size=40)), cfg)
         result = load_balance_loss([assign], alpha=0.01)
         np.testing.assert_allclose(result.per_layer_f[0].sum(), 1.0, atol=1e-12)
         np.testing.assert_allclose(result.per_layer_p[0].sum(), 1.0, atol=1e-9)
@@ -128,9 +123,9 @@ class TestBalanceLoss:
         rng = np.random.default_rng(4)
         cfg = TokenMoEConfig(num_experts=4, top_k=2, hidden_size=4)
         scores = rng.dirichlet(np.ones(4), size=10)
-        assign = compute_token_gates(Tensor(scores), cfg, "shared-normalized")
+        assign = compute_token_gates(Tensor(scores), cfg)
         rows = np.array([0, 2, 4, 6, 8])
-        sub = compute_token_gates(Tensor(scores[rows]), cfg, "shared-normalized")
+        sub = compute_token_gates(Tensor(scores[rows]), cfg)
         full = load_balance_loss([assign], alpha=0.01, token_rows=rows)
         direct = load_balance_loss([sub], alpha=0.01)
         np.testing.assert_allclose(full.loss.item(), direct.loss.item(), atol=1e-15)
@@ -138,20 +133,3 @@ class TestBalanceLoss:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             load_balance_loss([], alpha=-0.1)
-
-    def test_excluding_shared_drops_exactly_its_term(self):
-        rng = np.random.default_rng(5)
-        cfg = TokenMoEConfig(num_experts=5, top_k=3, hidden_size=4)
-        assign = compute_token_gates(
-            Tensor(rng.dirichlet(np.ones(5), size=20)), cfg, "shared-normalized"
-        )
-        full = load_balance_loss([assign], alpha=0.01)
-        routed_only = load_balance_loss([assign], alpha=0.01, include_shared=False)
-        f0 = full.per_layer_f[0][0]
-        p0 = full.per_layer_p[0][0]
-        shared_term = 0.01 * 5 * f0 * p0
-        np.testing.assert_allclose(
-            routed_only.loss.item(), full.loss.item() - shared_term, atol=1e-15
-        )
-        # shared expert's f is the constant 1/K in shared-normalized mode
-        assert f0 == pytest.approx(1.0 / 3.0)

@@ -33,34 +33,34 @@ def cfg(n=3, window=4, c=1.0, hidden=8):
 
 class TestPartition:
     def test_exact_division(self):
-        plan = partition_segments(8, cfg(window=4), batch_size=1)
+        plan = partition_segments((8,), cfg(window=4), row_stride=8)
         assert plan.total_segments == 2
         assert plan.spans == [(0, 0, 4), (0, 4, 8)]
         assert plan.leftover == []
 
     def test_floor_semantics_record_leftover(self):
-        plan = partition_segments(10, cfg(window=4), batch_size=1)
+        plan = partition_segments((10,), cfg(window=4), row_stride=10)
         assert plan.total_segments == 2
         assert plan.spans == [(0, 0, 4), (0, 4, 8)]
         assert plan.leftover == [(0, 8, 10)]
 
     def test_short_sample_is_all_leftover(self):
-        plan = partition_segments(3, cfg(window=4), batch_size=1)
+        plan = partition_segments((3,), cfg(window=4), row_stride=3)
         assert plan.total_segments == 0
         assert plan.leftover == [(0, 0, 3)]
 
     def test_total_is_batch_times_per_sample(self):
-        plan = partition_segments(12, cfg(window=3), batch_size=5)
+        plan = partition_segments((12,) * 5, cfg(window=3), row_stride=12)
         assert plan.total_segments == 5 * 4
         for b in range(5):
-            assert plan.segments_per_sample(b) == 4
+            assert sum(sample == b for sample, _, _ in plan.spans) == 4
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError):
             cfg(window=0)
 
     def test_segments_disjoint_and_exact_width(self):
-        plan = partition_segments((9, 7, 4), cfg(window=3))
+        plan = partition_segments((9, 7, 4), cfg(window=3), row_stride=9)
         for b, start, end in plan.spans:
             assert end - start == 3
         seen = set()
@@ -72,14 +72,14 @@ class TestPartition:
 
 class TestEmbedSegments:
     def test_constant_rows_average_to_themselves(self):
-        plan = partition_segments(6, cfg(window=3, hidden=4), batch_size=1)
+        plan = partition_segments((6,), cfg(window=3, hidden=4), row_stride=6)
         u = np.array([1.0, -2.0, 0.5, 3.0])
         hidden = Tensor(np.tile(u, (6, 1)))
         out = embed_segments(plan, hidden)
         np.testing.assert_allclose(out.data, np.tile(u, (2, 1)), atol=1e-15)
 
     def test_two_token_forced_mean(self):
-        plan = partition_segments(2, cfg(window=2, hidden=2), batch_size=1)
+        plan = partition_segments((2,), cfg(window=2, hidden=2), row_stride=2)
         hidden = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         out = embed_segments(plan, hidden)
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
@@ -316,7 +316,7 @@ class TestFusion:
 
     def test_initialization_is_bitwise_identity(self):
         rng = np.random.default_rng(9)
-        plan = partition_segments(8, cfg(window=4, hidden=4), batch_size=1)
+        plan = partition_segments((8,), cfg(window=4, hidden=4), row_stride=8)
         o_tok = Tensor(rng.normal(size=(8, 4)))
         o_seg = Tensor(rng.normal(size=(2, 4)))
         out = fuse_layer_outputs(o_tok, o_seg, plan, self._fusion(4))
@@ -324,7 +324,7 @@ class TestFusion:
 
     def test_segment_only_broadcasts_to_member_tokens(self):
         rng = np.random.default_rng(10)
-        plan = partition_segments(6, cfg(window=3, hidden=4), batch_size=1)
+        plan = partition_segments((6,), cfg(window=3, hidden=4), row_stride=6)
         o_tok = Tensor(rng.normal(size=(6, 4)))
         o_seg = Tensor(rng.normal(size=(2, 4)))
         fusion = FusionWeights(
@@ -336,7 +336,7 @@ class TestFusion:
 
     def test_leftover_tokens_receive_token_path_only(self):
         rng = np.random.default_rng(11)
-        plan = partition_segments(7, cfg(window=3, hidden=4), batch_size=1, row_stride=10)
+        plan = partition_segments((7,), cfg(window=3, hidden=4), row_stride=10)
         o_tok = Tensor(rng.normal(size=(10, 4)))
         o_seg = Tensor(rng.normal(size=(2, 4)))
         w = rng.normal(size=(4, 4))
@@ -377,7 +377,7 @@ class TestGradients:
             )
             for i in range(n)
         ]
-        plan = partition_segments(v * 2, cfg(n=n, window=2, hidden=hidden), batch_size=1)
+        plan = partition_segments((v * 2,), cfg(n=n, window=2, hidden=hidden), row_stride=v * 2)
         fusion = FusionWeights(
             token=Parameter("ft", np.eye(hidden)),
             segment=Parameter("fs", rng.normal(0, 0.3, size=(hidden, hidden))),

@@ -10,10 +10,8 @@ from hymoe.tensor import (
     backward,
     causal_attention,
     concat,
-    exp,
     finite_diff_grad,
     gather,
-    log,
     log_softmax_axis,
     masked_fill,
     matmul,
@@ -181,7 +179,7 @@ class TestBackwardOps:
         p = Parameter("w", rng.uniform(0.5, 2.0, size=(3, 3)))
 
         def build():
-            y = silu(p.value) + log(p.value) + exp(p.value * 0.1) + power(p.value, 1.5)
+            y = silu(p.value) + power(p.value, 1.5)
             return tmean(y)
 
         _check_grad(build, p)

@@ -63,38 +63,15 @@ class TestAffinityScores:
 class TestComputeGates:
     def test_shared_normalized_forced_case(self):
         scores = Tensor(np.array([[0.4, 0.3, 0.2, 0.1]]))
-        assign = compute_token_gates(scores, cfg(n=4, k=2), "shared-normalized")
+        assign = compute_token_gates(scores, cfg(n=4, k=2))
         np.testing.assert_array_equal(assign.indices, [[0, 1]])
-        np.testing.assert_allclose(assign.norm.data, [[0.7]], atol=1e-15)
         np.testing.assert_allclose(assign.gates.data, [[4 / 7, 3 / 7]], atol=1e-15)
-
-    def test_vanilla_does_not_normalize(self):
-        scores = Tensor(np.array([[0.5, 0.3, 0.2]]))
-        assign = compute_token_gates(scores, cfg(n=3, k=2), "vanilla")
-        np.testing.assert_array_equal(assign.indices, [[0, 1]])
-        np.testing.assert_allclose(assign.gates.data, [[0.5, 0.3]], atol=1e-15)
-        assert abs(assign.gates.data.sum() - 0.8) < 1e-15
-        assert assign.norm is None
 
     def test_uniform_scores_give_equal_gates(self):
         n, k = 5, 3
         scores = Tensor(np.full((4, n), 1.0 / n))
-        assign = compute_token_gates(scores, cfg(n=n, k=k), "shared-normalized")
+        assign = compute_token_gates(scores, cfg(n=n, k=k))
         np.testing.assert_allclose(assign.gates.data, 1.0 / k, atol=1e-15)
-
-    def test_unselected_gates_exactly_zero(self):
-        rng = np.random.default_rng(2)
-        scores = Tensor(rng.dirichlet(np.ones(6), size=10))
-        assign = compute_token_gates(scores, cfg(n=6, k=3), "shared-normalized")
-        dense = assign.dense_gates().data
-        mask = np.ones_like(dense, dtype=bool)
-        rows = np.arange(10)[:, None]
-        mask[rows, assign.indices] = False
-        assert np.all(dense[mask] == 0.0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            compute_token_gates(Tensor(np.ones((1, 4)) / 4), cfg(), "other")
 
     def test_k_out_of_range_rejected_by_config(self):
         with pytest.raises(ValueError):
@@ -111,14 +88,14 @@ class TestGateInvariants:
             k = int(rng.integers(2, n + 1))
             t = int(rng.integers(1, 12))
             scores = Tensor(rng.dirichlet(np.ones(n), size=t))
-            assign = compute_token_gates(scores, cfg(n=n, k=k), "shared-normalized")
+            assign = compute_token_gates(scores, cfg(n=n, k=k))
             np.testing.assert_allclose(assign.gates.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shared_expert_always_selected(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             scores = Tensor(rng.dirichlet(np.ones(6), size=8))
-            assign = compute_token_gates(scores, cfg(n=6, k=3), "shared-normalized")
+            assign = compute_token_gates(scores, cfg(n=6, k=3))
             assert np.all(np.any(assign.indices == 0, axis=1))
             assert np.all(assign.indices[:, 0] == 0)
 
@@ -129,11 +106,9 @@ class TestGateInvariants:
         from hymoe.tensor import matmul, softmax_axis
 
         logits = matmul(x, router.value)
-        base = compute_token_gates(softmax_axis(logits, 1), cfg(n=5, k=2), "shared-normalized")
+        base = compute_token_gates(softmax_axis(logits, 1), cfg(n=5, k=2))
         for scale in (0.5, 2.0, 7.3):
-            scaled = compute_token_gates(
-                softmax_axis(logits * scale, 1), cfg(n=5, k=2), "shared-normalized"
-            )
+            scaled = compute_token_gates(softmax_axis(logits * scale, 1), cfg(n=5, k=2))
             np.testing.assert_array_equal(
                 np.sort(scaled.indices, axis=1), np.sort(base.indices, axis=1)
             )
@@ -154,7 +129,7 @@ class TestForward:
         ]
         x = Tensor(rng.normal(size=(10, hidden)))
         scores = token_affinity_scores(Parameter("r", rng.normal(size=(hidden, 4))), x)
-        assign = compute_token_gates(scores, cfg(n=4, k=2, hidden=hidden), "shared-normalized")
+        assign = compute_token_gates(scores, cfg(n=4, k=2, hidden=hidden))
         out = token_moe_forward(routed, shared, assign, x)
         ref = ffn_forward(x, shared[0], shared[1])
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
@@ -167,13 +142,11 @@ class TestForward:
         x = Tensor(rng.normal(size=(4, hidden)))
         j = 2  # routed slot 2
         assign = GateAssignment(
-            mode="vanilla",
             num_experts=4,
             top_k=2,
-            indices=np.tile(np.array([[j, 1]]), (4, 1)),
-            gates=Tensor(np.tile(np.array([[1.0, 0.0]]), (4, 1))),
+            indices=np.tile(np.array([[0, j]]), (4, 1)),
+            gates=Tensor(np.tile(np.array([[0.0, 1.0]]), (4, 1))),
             scores=Tensor(np.full((4, 4), 0.25)),
-            norm=None,
         )
         out = token_moe_forward(routed, shared, assign, x)
         ref = ffn_forward(x, routed[j - 1][0], routed[j - 1][1])
@@ -186,10 +159,11 @@ class TestForward:
         routed = make_experts(rng, n - 1, hidden, ffn)
         x = Tensor(rng.normal(size=(12, hidden)))
         scores = token_affinity_scores(Parameter("r", rng.normal(size=(hidden, n))), x)
-        assign = compute_token_gates(scores, cfg(n=n, k=k, hidden=hidden), "shared-normalized")
+        assign = compute_token_gates(scores, cfg(n=n, k=k, hidden=hidden))
         out = token_moe_forward(routed, shared, assign, x)
         # oracle: loop every expert over every token with a dense masked gate
-        dense = assign.dense_gates().data
+        dense = np.zeros((x.data.shape[0], n))
+        dense[np.arange(x.data.shape[0])[:, None], assign.indices] = assign.gates.data
         experts = [shared] + routed
         expected = np.zeros_like(x.data)
         for t in range(x.data.shape[0]):
@@ -214,7 +188,7 @@ class TestForward:
         results = []
         for forward in (token_moe_forward, _per_expert_loop):
             scores = token_affinity_scores(router, x.value)
-            assign = compute_token_gates(scores, cfg(n=n, k=k, hidden=hidden), "shared-normalized")
+            assign = compute_token_gates(scores, cfg(n=n, k=k, hidden=hidden))
             out = forward(routed, shared, assign, x.value)
             backward(tsum(out * up))
             results.append([out.data] + [p.grad for p in params])
@@ -223,58 +197,25 @@ class TestForward:
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
-    def test_vanilla_shared_expert_picked_in_any_slot_or_not_at_all(self):
-        rng = np.random.default_rng(11)
-        hidden, ffn, n, k = 6, 9, 4, 2
-        shared = make_experts(rng, 1, hidden, ffn)[0]
-        routed = make_experts(rng, n - 1, hidden, ffn)
-        # Scores, not affinities: each row's values are >= 0.02 apart, so the
-        # selection holds under the finite-difference probes below.
-        scores = Parameter("scores", np.array([
-            [0.50, 0.30, 0.15, 0.05],  # expert 0 in slot 0
-            [0.30, 0.45, 0.20, 0.05],  # expert 0 in slot 1
-            [0.05, 0.40, 0.35, 0.20],  # expert 0 not picked
-            [0.10, 0.20, 0.30, 0.40],  # expert 0 not picked
-            [0.42, 0.08, 0.10, 0.40],  # expert 0 in slot 0
-            [0.25, 0.10, 0.60, 0.05],  # expert 0 in slot 1
-        ]))
-        x = Parameter("x", rng.normal(size=(6, hidden)))
-
-        def run():
-            assign = compute_token_gates(scores.value, cfg(n=n, k=k, hidden=hidden), "vanilla")
-            out = token_moe_forward(routed, shared, assign, x.value)
-            return assign, out, tsum(out * out)
-
-        assign, out, loss = run()
-        picked_zero = assign.indices == 0
-        assert picked_zero[:, 0].any() and picked_zero[:, 1].any()
-        assert (~picked_zero.any(axis=1)).any()
-        # masked-gate oracle: every expert on every token, gate 0 unless in the top k
-        top = np.argsort(-scores.data, axis=1, kind="stable")[:, :k]
-        gate = np.zeros_like(scores.data)
-        np.put_along_axis(gate, top, np.take_along_axis(scores.data, top, axis=1), axis=1)
-        expected = np.zeros_like(x.data)
-        for t in range(x.data.shape[0]):
-            for i, (w1, w2) in enumerate([shared] + routed):
-                pre = x.data[t] @ w1.data
-                expected[t] += gate[t, i] * ((pre / (1.0 + np.exp(-pre))) @ w2.data)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-        backward(loss)
-        for p in (scores, x, shared[0], routed[0][1]):
-            analytic = p.grad.copy()
-            numeric = finite_diff_grad(lambda: run()[2].item(), p)
-            assert relative_error(analytic, numeric) <= 1e-6, p.name
-
     def test_expert_count_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         shared = make_experts(rng, 1, 4, 6)[0]
         routed = make_experts(rng, 2, 4, 6)
         x = Tensor(rng.normal(size=(3, 4)))
         scores = Tensor(rng.dirichlet(np.ones(5), size=3))
-        assign = compute_token_gates(scores, cfg(n=5, k=2, hidden=4), "shared-normalized")
+        assign = compute_token_gates(scores, cfg(n=5, k=2, hidden=4))
         with pytest.raises(ShapeError, match="expert count"):
             token_moe_forward(routed, shared, assign, x)
+
+    @pytest.mark.parametrize("indices", [[[1, 0]], [[1, 2]], [[0, 0]]])
+    def test_shared_expert_outside_slot_0_rejected(self, indices):
+        rng = np.random.default_rng(12)
+        shared = make_experts(rng, 1, 4, 6)[0]
+        routed = make_experts(rng, 2, 4, 6)
+        assign = GateAssignment(3, 2, np.array(indices), Tensor([[0.5, 0.5]]),
+                                Tensor(np.full((1, 3), 1 / 3)))
+        with pytest.raises(ShapeError, match="slot 0"):
+            token_moe_forward(routed, shared, assign, Tensor(rng.normal(size=(1, 4))))
 
 
 def _per_expert_loop(routed, shared, assign, x):
@@ -320,7 +261,7 @@ class TestGradients:
 
     def _loss(self, c, shared, routed, router, x):
         scores = token_affinity_scores(router, x)
-        assign = compute_token_gates(scores, c, "shared-normalized")
+        assign = compute_token_gates(scores, c)
         out = token_moe_forward(routed, shared, assign, x)
         from hymoe.tensor import tsum
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_batch, randomize_routing, tiny_hybrid
 
+from hymoe import training
 from hymoe.hybrid import hybrid_forward_batch
 from hymoe.losses import load_balance_loss, ntp_loss
 from hymoe.tensor import backward, finite_diff_grad, relative_error
@@ -100,6 +101,28 @@ class TestTrainingStep:
         samples, targets = random_batch(hybrid.config, 1, 8, seed=5)
         with pytest.raises(RuntimeError, match="non-finite"):
             training_step(hybrid, samples, targets, cfg, 0)
+
+    def test_non_finite_gradient_aborts_before_any_update(self, tiny_pair, monkeypatch):
+        _, hybrid = tiny_pair
+        before = {name: p.data.tobytes() for name, p in hybrid.params.items()}
+        poisoned = []
+
+        def backward_with_nan(root):
+            backward(root)
+            # the last parameter the update would reach, so none may move first
+            name = [n for n, p in hybrid.params.items()
+                    if p.trainable and p.value.grad is not None][-1]
+            hybrid.param(name).value.grad.flat[0] = np.nan
+            poisoned.append(name)
+
+        monkeypatch.setattr(training, "backward", backward_with_nan)
+        cfg = TrainConfig(batch_size=2, seq_len=12, learning_rate=0.1, alpha=0.01,
+                          steps=10, seed=0)
+        samples, targets = random_batch(hybrid.config, 2, 12, seed=4)
+        with pytest.raises(RuntimeError, match="non-finite gradient") as err:
+            training_step(hybrid, samples, targets, cfg, 7)
+        assert f"{poisoned[0]} at step 7" in str(err.value)
+        assert {name: p.data.tobytes() for name, p in hybrid.params.items()} == before
 
     def test_dense_checkpoint_trains_without_balance_term(self, tiny_pair):
         dense, _ = tiny_pair

@@ -12,7 +12,14 @@ digest of
 * ``ckpt_bytes``: the bytes of the saved hybrid checkpoint.
 
 Shapes: ``desk`` (dense seed 11, 6 token + 6 segment experts, top-2,
-window 32) and ``w24_e5_k3`` (window 24, 5 + 5 experts, top-3).
+window 32), ``w24_e5_k3`` (window 24, 5 + 5 experts, top-3) and
+``distinct_k3`` (6 + 6 experts, top-3, window 32). In the first two the
+upcycled experts stay identical copies with equal gates, so a change that only
+reorders the sum of expert outputs leaves their digests unchanged.
+``distinct_k3`` moves every model off that tie point before training: routers
+~ N(0, 0.5), every token and segment expert + N(0, 0.02), ``fuse_seg``
++ N(0, 0.05). Its experts differ and each token mixes two routed experts, so
+a reordered sum moves its digests.
 
 Run it on the source tree before and after a refactor that claims bitwise
 equality, and compare the two lines::
@@ -38,6 +45,8 @@ from pathlib import Path
 SHAPES = {
     "desk": {"tok_experts": 6, "seg_experts": 6, "top_k": 2, "window": 32},
     "w24_e5_k3": {"tok_experts": 5, "seg_experts": 5, "top_k": 3, "window": 24},
+    "distinct_k3": {"tok_experts": 6, "seg_experts": 6, "top_k": 3, "window": 32,
+                    "distinct": True},
 }
 DENSE_SEED = 11
 STEPS = 6
@@ -49,6 +58,18 @@ def _digest(arrays) -> str:
     for a in arrays:
         h.update(a.tobytes())
     return h.hexdigest()[:16]
+
+
+def break_ties(hybrid, rng) -> None:
+    """Routers ~ N(0, 0.5), experts + N(0, 0.02), ``fuse_seg`` + N(0, 0.05)."""
+    for name in sorted(hybrid.params):
+        data = hybrid.params[name].data
+        if name.endswith("router"):
+            data[...] = rng.normal(0, 0.5, size=data.shape)
+        elif ".expert." in name or ".seg_expert." in name:
+            data += rng.normal(0, 0.02, size=data.shape)
+        elif name.endswith("fuse_seg"):
+            data += rng.normal(0, 0.05, size=data.shape)
 
 
 def shape_digests(shape: dict) -> dict:
@@ -90,6 +111,8 @@ def shape_digests(shape: dict) -> dict:
         module.dense_forward, module.hybrid_forward = originals
 
     rng = np.random.default_rng(DENSE_SEED)
+    if shape.get("distinct"):
+        break_ties(hybrid, rng)
     cfg = TrainConfig(batch_size=BATCH, seq_len=SEQ_LEN, steps=STEPS)
     for step in range(STEPS):
         rows = rng.integers(0, dense.config.vocab_size, size=(BATCH, SEQ_LEN + 1))
