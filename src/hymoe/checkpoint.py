@@ -11,9 +11,12 @@ Manifest entries carry {name, shape, offset, trainable}; offsets are relative
 to the start of the payload. Dense and hybrid checkpoints share the format,
 hybrid ones simply carry the extra parameter names and config blocks.
 ``load`` refuses, naming the file, a header length field that is cut short
-or points past the end of the file, a header that is not UTF-8 JSON, and a
-payload whose length is not where the manifest ends. ``save`` renames a
-temporary file over the target, so a failed write never leaves a torn file.
+or points past the end of the file, a header that is not UTF-8 JSON or lacks
+a key, a manifest whose entries do not follow one another from byte 0 or
+name a parameter twice, and a payload that does not end where the manifest
+ends. Each loaded parameter owns a writable copy of its bytes. ``save``
+renames a temporary file over the target, so a failed write never leaves a
+torn file.
 """
 
 from __future__ import annotations
@@ -91,26 +94,38 @@ def _read(path: str | Path) -> tuple[dict, bytes]:
     return header, payload
 
 
-def _count(entry: dict) -> int:
-    return int(np.prod(entry["shape"])) if entry["shape"] else 1
+def _field(path: str | Path, block, key: str, where: str = "header"):
+    if not isinstance(block, dict) or key not in block:
+        raise ValueError(f"{path}: {where} has no {key!r}")
+    return block[key]
 
 
 def _load_params(path: str | Path, header: dict, payload: bytes) -> dict[str, Parameter]:
-    manifest = header["manifest"]
-    end = manifest[-1]["offset"] + 8 * _count(manifest[-1]) if manifest else 0
+    """One Parameter per manifest entry; the entries must tile the payload in order."""
+    entries, end = [], 0
+    for i, entry in enumerate(_field(path, header, "manifest")):
+        name, shape, offset, trainable = (
+            _field(path, entry, key, f"manifest entry {i}")
+            for key in ("name", "shape", "offset", "trainable")
+        )
+        if offset != end:
+            raise ValueError(
+                f"{path}: manifest entry {name!r} starts at byte {offset}, "
+                f"not at byte {end} where the entry before it ends"
+            )
+        count = int(np.prod(shape))
+        entries.append((name, tuple(shape), offset, count, trainable))
+        end = offset + 8 * count
     if len(payload) != end:
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes but the manifest ends at byte {end}"
         )
     params: dict[str, Parameter] = {}
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = _count(entry)
-        start = entry["offset"]
-        data = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        params[entry["name"]] = Parameter(
-            entry["name"], data.reshape(shape).astype(np.float64), trainable=entry["trainable"]
-        )
+    for name, shape, offset, count, trainable in entries:
+        if name in params:
+            raise ValueError(f"{path}: manifest names {name!r} twice")
+        data = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        params[name] = Parameter(name, data.reshape(shape), trainable=trainable)
     return params
 
 
@@ -118,18 +133,19 @@ def load(path: str | Path):
     """Load either checkpoint kind; returns DenseCheckpoint or HybridCheckpoint."""
     header, payload = _read(path)
     params = _load_params(path, header, payload)
-    config = DenseConfig(**header["config"])
-    if header["kind"] == "dense":
+    kind = _field(path, header, "kind")
+    config = DenseConfig(**_field(path, header, "config"))
+    if kind == "dense":
         return DenseCheckpoint(config=config, params=params, meta=header.get("meta", {}))
-    if header["kind"] == "hybrid":
+    if kind == "hybrid":
         return HybridCheckpoint(
             config=config,
-            token_moe=TokenMoEConfig(**header["token_moe"]),
-            segment_moe=SegmentMoEConfig(**header["segment_moe"]),
+            token_moe=TokenMoEConfig(**_field(path, header, "token_moe")),
+            segment_moe=SegmentMoEConfig(**_field(path, header, "segment_moe")),
             params=params,
             meta=header.get("meta", {}),
         )
-    raise ValueError(f"{path}: unknown checkpoint kind {header['kind']!r}")
+    raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
 
 
 def save(ckpt, path: str | Path) -> None:

@@ -10,15 +10,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 
-def _to_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """Everything one training run needs, parsed from a flat config file."""
@@ -67,7 +58,7 @@ class RunSettings:
 
 
 _FIELD_TYPES = {name: f.type for name, f in RunSettings.__dataclass_fields__.items()}
-_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _to_bool}
+_CONVERTERS = {"str": str, "int": int, "float": float}
 
 
 def parse_kv_file(path: str | Path) -> dict:

@@ -117,10 +117,8 @@ def rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
     return x * power(ms + NORM_EPS, -0.5) * scale
 
 
-def ffn_forward(x: Tensor, w1: Tensor | Parameter, w2: Tensor | Parameter) -> Tensor:
+def ffn_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """Two-layer feed-forward with SiLU between; the function every expert computes."""
-    w1 = w1.value if isinstance(w1, Parameter) else w1
-    w2 = w2.value if isinstance(w2, Parameter) else w2
     return matmul(silu(matmul(x, w1)), w2)
 
 
@@ -176,8 +174,8 @@ def head_logits(ckpt, x: Tensor, lengths: Sequence[int], stride: int) -> list[Te
     same shape whatever the batch, and no sample's gradient is a zero-filled
     [B * stride x vocab] matrix.
     """
-    normed = rmsnorm(x, ckpt.param("final_norm").value)
-    head = ckpt.param("head").value
+    normed = rmsnorm(x, ckpt.param("final_norm"))
+    head = ckpt.param("head")
     return [
         narrow(matmul(narrow(normed, 0, b * stride, stride), head), 0, 0, t_len)
         for b, t_len in enumerate(lengths)
@@ -201,22 +199,15 @@ def forward_batch(
     flat_ids = np.zeros((len(ids), L), dtype=np.int64)  # padded with id 0
     for b, a in enumerate(ids):
         flat_ids[b, : a.size] = a
-    x = gather(ckpt.param("embed.tok").value, flat_ids.reshape(-1)) + gather(
-        ckpt.param("embed.pos").value, np.tile(np.arange(L), len(ids))
+    x = gather(ckpt.param("embed.tok"), flat_ids.reshape(-1)) + gather(
+        ckpt.param("embed.pos"), np.tile(np.arange(L), len(ids))
     )
     for l in range(cfg.num_layers):
         pre = f"layer.{l}"
-        normed = rmsnorm(x, ckpt.param(f"{pre}.norm1").value)
-        h = x + attention(
-            normed,
-            ckpt.param(f"{pre}.attn.wq").value,
-            ckpt.param(f"{pre}.attn.wk").value,
-            ckpt.param(f"{pre}.attn.wv").value,
-            ckpt.param(f"{pre}.attn.wo").value,
-            cfg.num_heads,
-            mask,
-        )
-        u = rmsnorm(h, ckpt.param(f"{pre}.norm2").value)
+        normed = rmsnorm(x, ckpt.param(f"{pre}.norm1"))
+        wq, wk, wv, wo = (ckpt.param(f"{pre}.attn.{w}") for w in ("wq", "wk", "wv", "wo"))
+        h = x + attention(normed, wq, wk, wv, wo, cfg.num_heads, mask)
+        u = rmsnorm(h, ckpt.param(f"{pre}.norm2"))
         x = h + ffn(l, u)
     return head_logits(ckpt, x, [a.size for a in ids], L)
 

@@ -27,7 +27,6 @@ from .dense import _validate_tokens  # shared input validation
 from .dense import attention, head_logits as head_logits_flat, rmsnorm  # noqa: F401
 from .segment_moe import (
     ExpertChoiceAssignment,
-    FusionWeights,
     SegmentationPlan,
     SegmentMoEConfig,
     compute_capacity,
@@ -59,35 +58,19 @@ class HybridCheckpoint:
 
     param = DenseCheckpoint.param
 
+    def _ffn(self, prefix: str) -> tuple[Parameter, Parameter]:
+        return self.param(f"{prefix}.w1"), self.param(f"{prefix}.w2")
+
     def routed_experts(self, layer: int) -> list[tuple[Parameter, Parameter]]:
-        return [
-            (
-                self.param(f"layer.{layer}.expert.{i}.w1"),
-                self.param(f"layer.{layer}.expert.{i}.w2"),
-            )
-            for i in range(1, self.token_moe.num_experts)
-        ]
+        n = self.token_moe.num_experts
+        return [self._ffn(f"layer.{layer}.expert.{i}") for i in range(1, n)]
 
     def shared_expert(self, layer: int) -> tuple[Parameter, Parameter]:
-        return (
-            self.param(f"layer.{layer}.shared.w1"),
-            self.param(f"layer.{layer}.shared.w2"),
-        )
+        return self._ffn(f"layer.{layer}.shared")
 
     def segment_experts(self, layer: int) -> list[tuple[Parameter, Parameter]]:
-        return [
-            (
-                self.param(f"layer.{layer}.seg_expert.{i}.w1"),
-                self.param(f"layer.{layer}.seg_expert.{i}.w2"),
-            )
-            for i in range(self.segment_moe.num_experts)
-        ]
-
-    def fusion(self, layer: int) -> FusionWeights:
-        return FusionWeights(
-            token=self.param(f"layer.{layer}.fuse_tok"),
-            segment=self.param(f"layer.{layer}.fuse_seg"),
-        )
+        n = self.segment_moe.num_experts
+        return [self._ffn(f"layer.{layer}.seg_expert.{i}") for i in range(n)]
 
 
 @dataclass
@@ -141,7 +124,9 @@ def hybrid_forward_batch(
             o_seg = segment_moe_forward(ckpt.segment_experts(l), seg_assign, seg_emb)
 
         traces.append(LayerTrace(gates=gates, segment_assign=seg_assign))
-        return fuse_layer_outputs(o_tok, o_seg, plan, ckpt.fusion(l))
+        return fuse_layer_outputs(
+            o_tok, o_seg, plan, ckpt.param(f"{pre}.fuse_tok"), ckpt.param(f"{pre}.fuse_seg")
+        )
 
     logits = forward_batch(ckpt, ids, moe_block)
     return logits, HybridTrace(plan=plan, layers=traces, real_rows=real_rows)

@@ -83,13 +83,15 @@ def load_balance_loss(
 
 @dataclass
 class LossReport:
-    """Scalars and routing statistics of one step; total = l_ntp + l_balance."""
+    """Scalars and routing statistics of one step; total = l_ntp + l_balance,
+    and ``lr`` is the learning rate the step applied."""
 
     l_ntp: float
     l_balance: float
     total: float
     per_layer_f: list[list[float]]
     per_layer_p: list[list[float]]
+    lr: float
 
     def to_json_dict(self, step: int) -> dict:
         return {"step": step, **asdict(self)}

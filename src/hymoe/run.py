@@ -19,7 +19,7 @@ from .config import RunSettings
 from .corpus import language_streams, load_corpus, mixing_weights, sample_batch
 from .dense import DenseConfig, init_dense
 from .hybrid import HybridCheckpoint
-from .training import TrainConfig, cosine_lr, training_step, write_metrics_line
+from .training import TrainConfig, training_step, write_metrics_line
 
 
 def _load_model(settings: RunSettings):
@@ -88,8 +88,7 @@ def train_run(settings: RunSettings, quiet: bool = False) -> dict:
         )
         report = training_step(model, samples, targets, train_cfg, step)
         model.meta["step"] = step + 1
-        lr_now = cosine_lr(train_cfg.learning_rate, step, settings.steps, settings.warmup_steps)
-        write_metrics_line(metrics_path, report, step, lr_now)
+        write_metrics_line(metrics_path, report, step)
         if not quiet and (step % 25 == 0 or step == settings.steps - 1):
             print(f"step {step:5d}  ntp {report.l_ntp:.4f}  balance {report.l_balance:.6f}")
         if (step + 1) % settings.checkpoint_every == 0 and step + 1 < settings.steps:

@@ -6,8 +6,9 @@ the other way round: every expert independently takes its top-r segments from
 the expert-to-segment affinity matrix, which guarantees a perfectly even
 load (exactly r segments per expert). Segment outputs are broadcast back to
 their member tokens and fused with the token path through two learned
-matrices, initialized to (identity, zero) so a fresh hybrid layer reproduces
-the token path bit for bit.
+matrices, the layer's ``fuse_tok`` and ``fuse_seg`` parameters, passed as
+plain tensors and initialized to (identity, zero) so a fresh hybrid layer
+reproduces the token path bit for bit.
 
 Segments are disjoint runs of contiguous rows in the flattened batch, so the
 pooling and the broadcast are index operations over those runs
@@ -157,7 +158,7 @@ def expert_choice_route(
     total = seg_emb.shape[0]
     if capacity > total:
         raise ValueError(f"capacity {capacity} exceeds segment count {total}")
-    gate_matrix = transpose(softmax_axis(matmul(seg_emb, router.value), axis=1))
+    gate_matrix = transpose(softmax_axis(matmul(seg_emb, router), axis=1))
     indices = top_k_rows(gate_matrix.data, capacity)
     weights = gather(gate_matrix, (np.arange(indices.shape[0])[:, None], indices))
     return ExpertChoiceAssignment(indices, weights, capacity, gate_matrix)
@@ -180,28 +181,23 @@ def segment_moe_forward(
     return mix_experts(experts, seg_emb, assign.weights, picks)
 
 
-@dataclass
-class FusionWeights:
-    """Per-layer fusion pair; starts as (identity, zero) after upcycling."""
-
-    token: Parameter
-    segment: Parameter
-
-
 def fuse_layer_outputs(
     o_tok: Tensor,
     o_seg: Tensor | None,
     plan: SegmentationPlan,
-    fusion: FusionWeights,
+    fuse_tok: Tensor,
+    fuse_seg: Tensor,
 ) -> Tensor:
     """Per token: o_tok @ W_tok + (segment row of the token) @ W_seg.
 
-    Tokens without a segment (leftover or padding rows) get the token path
-    only. With no segments at all the segment term vanishes entirely.
+    ``fuse_tok`` and ``fuse_seg`` are the layer's fusion pair, (identity,
+    zero) after upcycling. Tokens without a segment (leftover or padding rows)
+    get the token path only. With no segments at all the segment term
+    vanishes entirely.
     """
-    fused = matmul(o_tok, fusion.token.value)
+    fused = matmul(o_tok, fuse_tok)
     if o_seg is not None and plan.total_segments > 0:
         rows = plan.batch_size * plan.row_stride
         spread = spread_row_runs(o_seg, plan.starts, plan.window, rows)
-        fused = fused + matmul(spread, fusion.segment.value)
+        fused = fused + matmul(spread, fuse_seg)
     return fused

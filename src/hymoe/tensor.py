@@ -12,6 +12,10 @@ Two index ops serve every lookup and dispatch: ``gather`` (``a[index]``) and
 rows or a tuple of int arrays of elements. ``row_runs_mean`` and
 ``spread_row_runs`` cover disjoint runs of rows without ``np.add.at``.
 
+A ``Parameter`` is a named leaf ``Tensor`` whose ``requires_grad`` is its
+trainable flag, so model code hands parameters straight to the ops; a frozen
+one is an ordinary constant operand.
+
 A ``.grad`` array is never mutated in place. A second contribution rebinds it
 to a fresh sum, so a backward may hand the same array, or a read-only view of
 it, to several parents without copying.
@@ -93,34 +97,24 @@ class Tensor:
         return matmul(self, other)
 
 
-class Parameter:
-    """Named tensor with a trainable flag; the unit of the freeze policy.
+class Parameter(Tensor):
+    """A named leaf tensor; ``requires_grad`` is its trainable flag, the unit
+    of the freeze policy. It owns its data: the constructor copies it once."""
 
-    Gradients accumulate on ``value`` only when ``trainable`` is true.
-    """
-
-    __slots__ = ("name", "value", "trainable")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data, trainable: bool = True):
+        super().__init__(np.array(data, dtype=np.float64), requires_grad=trainable)
         self.name = name
-        self.value = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
-        self.trainable = trainable
 
     @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.value.grad
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
+    def trainable(self) -> bool:
+        return self.requires_grad
 
     def copy(self, name: str | None = None, trainable: bool | None = None) -> "Parameter":
         return Parameter(
             self.name if name is None else name,
-            self.data.copy(),
+            self.data,
             self.trainable if trainable is None else trainable,
         )
 

@@ -67,7 +67,7 @@ class GateAssignment:
 
 def token_affinity_scores(router: Parameter, x: Tensor) -> Tensor:
     """Affinity rows: softmax over experts of x @ W, one row per token."""
-    return softmax_axis(matmul(x, router.value), axis=1)
+    return softmax_axis(matmul(x, router), axis=1)
 
 
 def compute_token_gates(scores: Tensor, cfg: TokenMoEConfig) -> GateAssignment:

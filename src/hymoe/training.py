@@ -95,20 +95,20 @@ def training_step(
         )
     backward(total)
     for name, p in ckpt.params.items():
-        grad = p.value.grad
-        if p.trainable and grad is not None and not np.isfinite(grad).all():
+        if p.trainable and p.grad is not None and not np.isfinite(p.grad).all():
             raise RuntimeError(f"non-finite gradient of {name} at step {step}")
     lr = cosine_lr(cfg.learning_rate, step, cfg.steps, cfg.warmup_steps)
     for p in ckpt.params.values():
-        if p.trainable and p.value.grad is not None:
-            p.value.data -= lr * p.value.grad
-        p.zero_grad()
+        if p.trainable and p.grad is not None:
+            p.data -= lr * p.grad
+        p.grad = None
     return LossReport(
         l_ntp=l_ntp.item(),
         l_balance=l_balance,
         total=total_val,
         per_layer_f=[f.tolist() for f in balance.per_layer_f] if balance else [],
         per_layer_p=[p.tolist() for p in balance.per_layer_p] if balance else [],
+        lr=lr,
     )
 
 
@@ -118,8 +118,6 @@ def evaluate_loss(ckpt, samples, targets) -> float:
     return _mean_ntp(logits, targets).item()
 
 
-def write_metrics_line(path: Path, report: LossReport, step: int, lr: float) -> None:
-    record = report.to_json_dict(step)
-    record["lr"] = lr
+def write_metrics_line(path: Path, report: LossReport, step: int) -> None:
     with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps(report.to_json_dict(step)) + "\n")

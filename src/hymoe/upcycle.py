@@ -33,22 +33,17 @@ def upcycle(
         if ".ffn." in name:
             continue  # becomes the shared expert below
         params[name] = p.copy(trainable=False)
+    experts = (
+        [("shared", False)]
+        + [(f"expert.{i}", True) for i in range(1, tok_cfg.num_experts)]
+        + [(f"seg_expert.{i}", True) for i in range(seg_cfg.num_experts)]
+    )
     for l in range(cfg.num_layers):
         pre = f"layer.{l}"
-        w1 = dense.param(f"{pre}.ffn.w1")
-        w2 = dense.param(f"{pre}.ffn.w2")
-        params[f"{pre}.shared.w1"] = w1.copy(name=f"{pre}.shared.w1", trainable=False)
-        params[f"{pre}.shared.w2"] = w2.copy(name=f"{pre}.shared.w2", trainable=False)
-        for i in range(1, tok_cfg.num_experts):
-            params[f"{pre}.expert.{i}.w1"] = w1.copy(name=f"{pre}.expert.{i}.w1", trainable=True)
-            params[f"{pre}.expert.{i}.w2"] = w2.copy(name=f"{pre}.expert.{i}.w2", trainable=True)
-        for i in range(seg_cfg.num_experts):
-            params[f"{pre}.seg_expert.{i}.w1"] = w1.copy(
-                name=f"{pre}.seg_expert.{i}.w1", trainable=True
-            )
-            params[f"{pre}.seg_expert.{i}.w2"] = w2.copy(
-                name=f"{pre}.seg_expert.{i}.w2", trainable=True
-            )
+        for expert, trainable in experts:
+            for w in ("w1", "w2"):
+                name = f"{pre}.{expert}.{w}"
+                params[name] = dense.param(f"{pre}.ffn.{w}").copy(name=name, trainable=trainable)
         params[f"{pre}.token_router"] = Parameter(
             f"{pre}.token_router", np.zeros((cfg.hidden_size, tok_cfg.num_experts))
         )
@@ -76,8 +71,12 @@ def fidelity_check(
     max_len: int | None = None,
 ) -> float:
     """Max |dense logits - hybrid logits| over random probe sequences."""
-    rng = np.random.default_rng(seed)
     cap = dense.config.max_seq_len if max_len is None else min(max_len, dense.config.max_seq_len)
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}: no probe would be compared")
+    if cap < 2:
+        raise ValueError(f"max_len must be >= 2, got a probe length cap of {cap}")
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(probes):
         length = int(rng.integers(2, cap + 1))

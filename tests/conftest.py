@@ -28,9 +28,9 @@ def randomize_routing(hybrid, seed=0, scale=0.6):
     rng = np.random.default_rng(seed)
     for name, p in hybrid.params.items():
         if "router" in name:
-            p.value.data[...] = rng.normal(0, scale, size=p.data.shape)
+            p.data[...] = rng.normal(0, scale, size=p.data.shape)
         elif ".expert." in name or ".seg_expert." in name:
-            p.value.data += rng.normal(0, 0.05, size=p.data.shape)
+            p.data += rng.normal(0, 0.05, size=p.data.shape)
     return hybrid
 
 

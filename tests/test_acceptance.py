@@ -148,9 +148,9 @@ class TestCriterion5Gradients:
         rng = np.random.default_rng(seed)
         for name, p in hybrid.params.items():
             if "router" in name:
-                p.value.data[...] = rng.normal(0, 0.8, size=p.data.shape)
+                p.data[...] = rng.normal(0, 0.8, size=p.data.shape)
             elif ".expert." in name or ".seg_expert." in name:
-                p.value.data += rng.normal(0, 0.05, size=p.data.shape)
+                p.data += rng.normal(0, 0.05, size=p.data.shape)
         samples = [rng.integers(0, 24, size=8) for _ in range(2)]
         targets = [rng.integers(0, 24, size=8) for _ in range(2)]
         return hybrid, samples, targets
@@ -200,9 +200,9 @@ class TestCriterion5Gradients:
                     "layer.0.fuse_tok",
                     "layer.0.fuse_seg",
                 ]
-                grads = {n: hybrid.param(n).value.grad.copy() for n in names}
+                grads = {n: hybrid.param(n).grad.copy() for n in names}
                 for p in hybrid.params.values():
-                    p.zero_grad()
+                    p.grad = None
                 for n in names:
                     p = hybrid.param(n)
                     numeric = finite_diff_grad(
@@ -324,7 +324,7 @@ def test_criterion_8_analytics_structure(tmp_path):
         rng = np.random.default_rng(7)
         for name, p in hybrid.params.items():
             if "router" in name:
-                p.value.data[...] = rng.normal(0, 0.5, size=p.data.shape)
+                p.data[...] = rng.normal(0, 0.5, size=p.data.shape)
         report = routing_analytics(hybrid, held, seq_len=32, n_blocks=4)
         for layer in report.layers:
             np.testing.assert_allclose(report.token_freq[layer].sum(axis=1), 1.0,

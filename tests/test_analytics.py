@@ -52,7 +52,7 @@ def test_report_layers_first_middle_last():
 class TestPerplexity:
     def test_uniform_logit_model_scores_vocab_size(self, corpus_streams):
         dense, _ = tiny_hybrid(seed=0, vocab_size=128)
-        dense.param("head").value.data[...] = 0.0
+        dense.param("head").data[...] = 0.0
         table = evaluate_perplexity(dense, corpus_streams, seq_len=16, n_blocks=2)
         for ppl in table.values():
             assert ppl == pytest.approx(128.0, rel=1e-12)

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import tiny_hybrid
+
 from hymoe import checkpoint as ckpt_io
 from hymoe.cli import main
 from hymoe.config import RunSettings, load_settings, parse_kv_file
 from hymoe.hybrid import HybridCheckpoint
 from hymoe.run import train_run
+from hymoe.training import cosine_lr
 
 
 TINY_DENSE_CFG = """
@@ -147,13 +150,48 @@ class TestPipeline:
         dense_ckpt = workspace / "dense_run" / "final.ckpt"
         hybrid_ckpt = workspace / "hybrid.ckpt"
         tampered = ckpt_io.load(hybrid_ckpt)
-        tampered.param("layer.0.expert.1.w1").value.data[0, 0] += 2.0
+        tampered.param("layer.0.expert.1.w1").data[0, 0] += 2.0
         bad_path = workspace / "tampered.ckpt"
         ckpt_io.save(tampered, bad_path)
         rc = main(["verify", "--dense", str(dense_ckpt), "--hybrid", str(bad_path),
                    "--probes", "4"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestVerify:
+    @pytest.mark.parametrize(
+        "flags, name", [(["--probes", "0"], "probes"), (["--max-len", "1"], "max_len"),
+                        (["--max-len", "0"], "max_len")],
+    )
+    def test_a_check_that_compares_nothing_is_rejected(self, tmp_path, capsys, flags, name):
+        dense, hybrid = tiny_hybrid()
+        ckpt_io.save(dense, tmp_path / "dense.ckpt")
+        ckpt_io.save(hybrid, tmp_path / "hybrid.ckpt")
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            main(["verify", "--dense", str(tmp_path / "dense.ckpt"),
+                  "--hybrid", str(tmp_path / "hybrid.ckpt"), *flags])
+        assert "OK" not in capsys.readouterr().out
+
+
+class TestMetricsFile:
+    def test_each_record_logs_the_learning_rate_of_its_step(self, workspace):
+        cfg_path = write_cfg(
+            workspace / "lr.cfg", TINY_DENSE_CFG, corpus_dir=str(workspace / "corpus"),
+            out_dir=str(workspace / "lr_run"), warmup_steps=2,
+        )
+        settings = load_settings(cfg_path)
+        train_run(settings, quiet=True)
+        lines = (workspace / "lr_run" / "metrics.jsonl").read_text().splitlines()
+        assert len(lines) == settings.steps
+        for step, line in enumerate(lines):
+            record = json.loads(line)
+            assert list(record) == ["step", "l_ntp", "l_balance", "total", "per_layer_f",
+                                    "per_layer_p", "lr"]
+            assert record["step"] == step
+            assert record["lr"] == cosine_lr(
+                settings.learning_rate, step, settings.steps, settings.warmup_steps
+            )
 
 
 class TestResume:

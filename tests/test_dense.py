@@ -196,6 +196,40 @@ class TestCheckpointFile:
         assert str(path) in str(err.value)
         assert reason in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda h, e: e["layer.0.ffn.w2"].update(offset=e["embed.pos"]["offset"]),
+             "manifest entry 'layer.0.ffn.w2' starts at byte 0, not at byte"),
+            (lambda h, e: h["manifest"][-1].update(offset=h["manifest"][-1]["offset"] + 8),
+             "starts at byte"),
+            (lambda h, e: h["manifest"][-1].update(shape=[10**6]),
+             "but the manifest ends at byte"),
+            (lambda h, e: h["manifest"][1].update(name=h["manifest"][0]["name"]),
+             "manifest names 'embed.pos' twice"),
+            (lambda h, e: h["manifest"][3].pop("shape"), "manifest entry 3 has no 'shape'"),
+            (lambda h, e: h.pop("kind"), "header has no 'kind'"),
+            (lambda h, e: h.pop("config"), "header has no 'config'"),
+            (lambda h, e: h.pop("manifest"), "header has no 'manifest'"),
+        ],
+        ids=["overlapping_entry", "entry_past_payload", "entry_past_end", "duplicate_name",
+             "entry_without_shape", "no_kind", "no_config", "no_manifest"],
+    )
+    def test_bad_manifest_names_the_file(self, tmp_path, edit, reason):
+        path = tmp_path / "dense.ckpt"
+        ckpt_io.save(init_dense(tiny_config(), seed=8), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + header_len])
+        edit(header, {entry["name"]: entry for entry in header["manifest"]})
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + header_len :])
+        with pytest.raises(ValueError) as err:
+            ckpt_io.load(path)
+        assert type(err.value) is ValueError
+        assert str(path) in str(err.value)
+        assert reason in str(err.value)
+
     def test_failed_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
         path = tmp_path / "final.ckpt"
         ckpt_io.save(init_dense(tiny_config(), seed=5), path)

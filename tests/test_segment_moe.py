@@ -4,7 +4,6 @@ import pytest
 from hymoe.dense import ffn_forward
 from hymoe.segment_moe import (
     ExpertChoiceAssignment,
-    FusionWeights,
     SegmentMoEConfig,
     compute_capacity,
     embed_segments,
@@ -287,12 +286,12 @@ class TestSegmentForward:
         params = [router, emb, *[w for pair in experts for w in pair]]
         results = []
         for forward in (segment_moe_forward, _per_expert_loop):
-            assign = expert_choice_route(router, emb.value, r)
-            out = forward(experts, assign, emb.value)
+            assign = expert_choice_route(router, emb, r)
+            out = forward(experts, assign, emb)
             backward(tsum(out * up))
             results.append([out.data] + [p.grad for p in params])
             for p in params:
-                p.zero_grad()
+                p.grad = None
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
@@ -312,14 +311,14 @@ class TestFusion:
     def _fusion(self, hidden, identity=True):
         token = Parameter("fuse_tok", np.eye(hidden) if identity else np.zeros((hidden, hidden)))
         seg = Parameter("fuse_seg", np.zeros((hidden, hidden)))
-        return FusionWeights(token=token, segment=seg)
+        return token, seg
 
     def test_initialization_is_bitwise_identity(self):
         rng = np.random.default_rng(9)
         plan = partition_segments((8,), cfg(window=4, hidden=4), row_stride=8)
         o_tok = Tensor(rng.normal(size=(8, 4)))
         o_seg = Tensor(rng.normal(size=(2, 4)))
-        out = fuse_layer_outputs(o_tok, o_seg, plan, self._fusion(4))
+        out = fuse_layer_outputs(o_tok, o_seg, plan, *self._fusion(4))
         np.testing.assert_array_equal(out.data, o_tok.data)
 
     def test_segment_only_broadcasts_to_member_tokens(self):
@@ -327,10 +326,8 @@ class TestFusion:
         plan = partition_segments((6,), cfg(window=3, hidden=4), row_stride=6)
         o_tok = Tensor(rng.normal(size=(6, 4)))
         o_seg = Tensor(rng.normal(size=(2, 4)))
-        fusion = FusionWeights(
-            token=Parameter("ft", np.zeros((4, 4))), segment=Parameter("fs", np.eye(4))
-        )
-        out = fuse_layer_outputs(o_tok, o_seg, plan, fusion)
+        fusion = Parameter("ft", np.zeros((4, 4))), Parameter("fs", np.eye(4))
+        out = fuse_layer_outputs(o_tok, o_seg, plan, *fusion)
         for t in range(6):
             np.testing.assert_allclose(out.data[t], o_seg.data[t // 3], atol=1e-15)
 
@@ -340,10 +337,8 @@ class TestFusion:
         o_tok = Tensor(rng.normal(size=(10, 4)))
         o_seg = Tensor(rng.normal(size=(2, 4)))
         w = rng.normal(size=(4, 4))
-        fusion = FusionWeights(
-            token=Parameter("ft", w), segment=Parameter("fs", rng.normal(size=(4, 4)))
-        )
-        out = fuse_layer_outputs(o_tok, o_seg, plan, fusion)
+        fusion = Parameter("ft", w), Parameter("fs", rng.normal(size=(4, 4)))
+        out = fuse_layer_outputs(o_tok, o_seg, plan, *fusion)
         np.testing.assert_allclose(out.data[6], o_tok.data[6] @ w, atol=1e-14)
         np.testing.assert_allclose(out.data[8], o_tok.data[8] @ w, atol=1e-14)
 
@@ -353,8 +348,8 @@ class TestFusion:
         o_tok = Tensor(rng.normal(size=(12, 3)))
         o_seg = Tensor(rng.normal(size=(plan.total_segments, 3)))
         wt, ws = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        fusion = FusionWeights(token=Parameter("ft", wt), segment=Parameter("fs", ws))
-        out = fuse_layer_outputs(o_tok, o_seg, plan, fusion)
+        fusion = Parameter("ft", wt), Parameter("fs", ws)
+        out = fuse_layer_outputs(o_tok, o_seg, plan, *fusion)
         for row in range(12):
             seg_vec = np.zeros(3)
             for v, (b, start, end) in enumerate(plan.spans):
@@ -378,9 +373,9 @@ class TestGradients:
             for i in range(n)
         ]
         plan = partition_segments((v * 2,), cfg(n=n, window=2, hidden=hidden), row_stride=v * 2)
-        fusion = FusionWeights(
-            token=Parameter("ft", np.eye(hidden)),
-            segment=Parameter("fs", rng.normal(0, 0.3, size=(hidden, hidden))),
+        fusion = (
+            Parameter("ft", np.eye(hidden)),
+            Parameter("fs", rng.normal(0, 0.3, size=(hidden, hidden))),
         )
         hidden_states = Tensor(rng.normal(size=(v * 2, hidden)))
 
@@ -388,7 +383,7 @@ class TestGradients:
             seg_emb = embed_segments(plan, hidden_states)
             assign = expert_choice_route(router, seg_emb, r)
             o_seg = segment_moe_forward(experts, assign, seg_emb)
-            fused = fuse_layer_outputs(hidden_states, o_seg, plan, fusion)
+            fused = fuse_layer_outputs(hidden_states, o_seg, plan, *fusion)
             return tsum(fused * fused)
 
         # tie margin: ensure top-r boundaries are wide enough for h=1e-5 probes
@@ -399,11 +394,11 @@ class TestGradients:
 
         loss = build()
         backward(loss)
-        for p in (router, experts[0][0], experts[2][1], fusion.token, fusion.segment):
-            analytic = p.value.grad.copy()
-            p.zero_grad()
+        for p in (router, experts[0][0], experts[2][1], *fusion):
+            analytic = p.grad.copy()
+            p.grad = None
             numeric = finite_diff_grad(lambda p=p: build().item(), p)
             assert relative_error(analytic, numeric) <= 1e-6, p.name
         for pair in experts:
             for p in pair:
-                p.zero_grad()
+                p.grad = None

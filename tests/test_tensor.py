@@ -152,8 +152,8 @@ def _check_grad(build, p, h=1e-5, tol=1e-6):
     """Analytic gradient of build() (scalar Tensor) vs central differences."""
     loss = build()
     backward(loss)
-    analytic = p.value.grad.copy()
-    p.zero_grad()
+    analytic = p.grad.copy()
+    p.grad = None
     numeric = finite_diff_grad(lambda: build().item(), p, h=h)
     err = relative_error(analytic, numeric)
     assert err <= tol, f"gradient mismatch: rel err {err}"
@@ -169,7 +169,7 @@ class TestBackwardOps:
         tgt = Tensor(rng.normal(size=(5, 3)))
 
         def build():
-            y = softmax_axis(matmul(x, p.value), axis=1) - tgt
+            y = softmax_axis(matmul(x, p), axis=1) - tgt
             return tsum(y * y)
 
         _check_grad(build, p)
@@ -179,7 +179,7 @@ class TestBackwardOps:
         p = Parameter("w", rng.uniform(0.5, 2.0, size=(3, 3)))
 
         def build():
-            y = silu(p.value) + power(p.value, 1.5)
+            y = silu(p) + power(p, 1.5)
             return tmean(y)
 
         _check_grad(build, p)
@@ -190,7 +190,7 @@ class TestBackwardOps:
         rows = np.array([0, 2, 2, 5])
 
         def build():
-            g = gather(p.value, rows)
+            g = gather(p, rows)
             s = scatter(g, np.array([1, 0, 3, 1]), (4, 4))
             left = narrow(s, 1, 0, 2)
             both = concat([left, left * 2.0], axis=1)
@@ -205,7 +205,7 @@ class TestBackwardOps:
         along = (np.arange(5)[:, None], idx)
 
         def build():
-            picked = gather(p.value, along)
+            picked = gather(p, along)
             dense = scatter(picked, along, (5, 6))
             pair = gather(dense, (np.array([0, 1, 4]), np.array([3, 1, 2])))
             return tsum(pair * pair) + tmean(dense)
@@ -219,7 +219,7 @@ class TestBackwardOps:
         mask[:, 0] = False  # keep at least one live column
 
         def build():
-            y = log_softmax_axis(masked_fill(p.value, mask, -1e30), axis=1)
+            y = log_softmax_axis(masked_fill(p, mask, -1e30), axis=1)
             live = gather(y, (np.arange(4), np.zeros(4, dtype=int)))
             return -tmean(live)
 
@@ -230,13 +230,13 @@ class TestBackwardOps:
         p = Parameter("w", rng.uniform(1.0, 2.0, size=(3, 4)))
 
         def build():
-            t = transpose(p.value)
+            t = transpose(p)
             flat = reshape(t, (12, 1))
             return tsum(flat / tsum(flat))  # constant 1 but exercises div backward
 
         loss = build()
         backward(loss)
-        np.testing.assert_allclose(p.value.grad, 0.0, atol=1e-12)
+        np.testing.assert_allclose(p.grad, 0.0, atol=1e-12)
 
     def test_broadcast_add_mul(self):
         rng = np.random.default_rng(6)
@@ -244,7 +244,7 @@ class TestBackwardOps:
         x = Tensor(rng.normal(size=(5, 4)))
 
         def build():
-            y = (x + p.value) * p.value
+            y = (x + p) * p
             return tsum(y * y)
 
         _check_grad(build, p)
@@ -266,10 +266,10 @@ def test_no_tape_without_grad():
 def test_parameter_trainable_flag_controls_grad():
     frozen = Parameter("f", np.ones((2, 2)), trainable=False)
     live = Parameter("l", np.ones((2, 2)), trainable=True)
-    loss = tsum(matmul(frozen.value, live.value))
+    loss = tsum(matmul(frozen, live))
     backward(loss)
-    assert frozen.value.grad is None
-    assert live.value.grad is not None
+    assert frozen.grad is None
+    assert live.grad is not None
 
 
 def _check_grads(build, params, tol=1e-6):
@@ -278,7 +278,7 @@ def _check_grads(build, params, tol=1e-6):
     backward(build())
     analytic = {p.name: None if p.grad is None else p.grad.copy() for p in params}
     for p in params:
-        p.zero_grad()
+        p.grad = None
     for p in params:
         if not p.trainable:
             assert analytic[p.name] is None, f"frozen {p.name} received a gradient"
@@ -328,8 +328,8 @@ class TestCausalAttention:
         mask = _causal(self.L)
 
         def build():
-            out = causal_attention(matmul(x, ws["wq"].value), matmul(x, ws["wk"].value),
-                                   matmul(x, ws["wv"].value), self.HEADS, mask, -1e30)
+            out = causal_attention(matmul(x, ws["wq"]), matmul(x, ws["wk"]),
+                                   matmul(x, ws["wv"]), self.HEADS, mask, -1e30)
             return tsum(out * weight)
 
         _check_grads(build, list(ws.values()))
@@ -459,8 +459,8 @@ class TestRowRuns:
         weight = Tensor(rng.normal(size=(num_rows, 4)))
 
         def build():
-            pooled = row_runs_mean(p.value, starts, width)
-            spread = spread_row_runs(pooled * q.value, starts, width, num_rows)
+            pooled = row_runs_mean(p, starts, width)
+            spread = spread_row_runs(pooled * q, starts, width, num_rows)
             return tsum(spread * weight) + tsum(pooled * pooled)
 
         _check_grads(build, [p, q])
@@ -514,8 +514,8 @@ def test_shared_upstream_gradient_is_never_mutated(second_first):
     extra = Tensor(rng.normal(size=(3, 4)))
 
     def build():
-        a = p1.value * p1.value
-        b = p2.value + 0.5
+        a = p1 * p1
+        b = p2 + 0.5
         shared = tsum(reshape(a + b, (4, 3)) * w)
         again = tsum(a * extra)  # a's second contribution
         return again + shared if second_first else shared + again

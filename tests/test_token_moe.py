@@ -105,7 +105,7 @@ class TestGateInvariants:
         x = Tensor(rng.normal(size=(16, 8)))
         from hymoe.tensor import matmul, softmax_axis
 
-        logits = matmul(x, router.value)
+        logits = matmul(x, router)
         base = compute_token_gates(softmax_axis(logits, 1), cfg(n=5, k=2))
         for scale in (0.5, 2.0, 7.3):
             scaled = compute_token_gates(softmax_axis(logits * scale, 1), cfg(n=5, k=2))
@@ -187,13 +187,13 @@ class TestForward:
         params = [router, x, *[w for pair in routed for w in pair]]
         results = []
         for forward in (token_moe_forward, _per_expert_loop):
-            scores = token_affinity_scores(router, x.value)
+            scores = token_affinity_scores(router, x)
             assign = compute_token_gates(scores, cfg(n=n, k=k, hidden=hidden))
-            out = forward(routed, shared, assign, x.value)
+            out = forward(routed, shared, assign, x)
             backward(tsum(out * up))
             results.append([out.data] + [p.grad for p in params])
             for p in params:
-                p.zero_grad()
+                p.grad = None
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
@@ -281,19 +281,19 @@ class TestGradients:
             # check the router plus one routed expert that actually got tokens
             used = int(assign.indices[0, 1])
             for p in (router, routed[used - 1][0], routed[used - 1][1]):
-                analytic = p.value.grad.copy()
-                p.zero_grad()
+                analytic = p.grad.copy()
+                p.grad = None
                 numeric = finite_diff_grad(
                     lambda p=p: self._loss(c, shared, routed, router, x)[0].item(), p
                 )
                 assert relative_error(analytic, numeric) <= 1e-6
             for p in (router, *[w for pair in routed for w in pair]):
-                p.zero_grad()
+                p.grad = None
             checked += 1
 
     def test_shared_expert_gradient_identically_zero(self):
         c, shared, routed, router, x = self._setup(42)
         loss, _ = self._loss(c, shared, routed, router, x)
         backward(loss)
-        assert shared[0].value.grad is None
-        assert shared[1].value.grad is None
+        assert shared[0].grad is None
+        assert shared[1].grad is None

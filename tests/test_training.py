@@ -95,7 +95,7 @@ class TestTrainingStep:
 
     def test_nan_loss_aborts_with_diagnostic(self, tiny_pair):
         _, hybrid = tiny_pair
-        hybrid.param("layer.0.expert.1.w1").value.data[...] = np.nan
+        hybrid.param("layer.0.expert.1.w1").data[...] = np.nan
         cfg = TrainConfig(batch_size=1, seq_len=8, learning_rate=0.1, alpha=0.01,
                           steps=5, seed=0)
         samples, targets = random_batch(hybrid.config, 1, 8, seed=5)
@@ -111,8 +111,8 @@ class TestTrainingStep:
             backward(root)
             # the last parameter the update would reach, so none may move first
             name = [n for n, p in hybrid.params.items()
-                    if p.trainable and p.value.grad is not None][-1]
-            hybrid.param(name).value.grad.flat[0] = np.nan
+                    if p.trainable and p.grad is not None][-1]
+            hybrid.param(name).grad.flat[0] = np.nan
             poisoned.append(name)
 
         monkeypatch.setattr(training, "backward", backward_with_nan)
@@ -163,9 +163,9 @@ class TestFullModelGradient:
         checked = 0
         for name in ("layer.0.token_router", "layer.0.seg_router", "layer.0.fuse_seg"):
             p = hybrid.param(name)
-            analytic = p.value.grad.copy()
+            analytic = p.grad.copy()
             for q in hybrid.params.values():
-                q.zero_grad()
+                q.grad = None
             numeric = finite_diff_grad(
                 lambda: self._objective(hybrid, samples, targets, 0.01)[0].item(), p
             )
@@ -200,9 +200,9 @@ class TestDenseModelGradient:
         backward(loss)
         for name in ("layer.0.attn.wq", "embed.tok", "layer.0.norm1", "head"):
             p = dense.param(name)
-            analytic = p.value.grad.copy()
+            analytic = p.grad.copy()
             for q in dense.params.values():
-                q.zero_grad()
+                q.grad = None
             numeric = finite_diff_grad(
                 lambda: self._loss(dense, samples, targets).item(), p
             )
@@ -213,7 +213,7 @@ class TestDenseModelGradient:
 
 def test_evaluate_loss_matches_uniform_model_entropy(tiny_pair):
     dense, _ = tiny_pair
-    dense.param("head").value.data[...] = 0.0
+    dense.param("head").data[...] = 0.0
     samples, targets = random_batch(dense.config, 2, 10, seed=9)
     loss = evaluate_loss(dense, samples, targets)
     assert abs(loss - math.log(dense.config.vocab_size)) < 1e-12

@@ -82,8 +82,17 @@ class TestFidelity:
 
     def test_perturbing_a_routed_expert_breaks_fidelity(self, tiny_pair):
         dense, hybrid = tiny_pair
-        hybrid.param("layer.0.expert.1.w1").value.data[0, 0] += 1.0
+        hybrid.param("layer.0.expert.1.w1").data[0, 0] += 1.0
         assert fidelity_check(dense, hybrid, probes=8, seed=2) > 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs, name", [({"probes": 0}, "probes"), ({"max_len": 1}, "max_len"),
+                         ({"max_len": 0}, "max_len")],
+    )
+    def test_a_check_that_compares_nothing_is_rejected(self, tiny_pair, kwargs, name):
+        dense, hybrid = tiny_pair
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            fidelity_check(dense, hybrid, **kwargs)
 
     def test_training_breaks_fidelity_but_not_dense(self, tiny_pair):
         dense, hybrid = tiny_pair
@@ -96,6 +105,36 @@ class TestFidelity:
             training_step(hybrid, samples, targets, cfg, step)
         assert fidelity_check(dense, hybrid, probes=4, seed=4) > 1e-6
         np.testing.assert_array_equal(dense_forward(dense, seq).data, dense_before)
+
+
+def assert_no_shared_memory(params, others=None):
+    """No parameter's array overlaps another's, nor any array in ``others``."""
+    items = list(params.items())
+    for i, (name, p) in enumerate(items):
+        for other, q in items[i + 1 :] + list((others or {}).items()):
+            assert not np.shares_memory(p.data, q.data), (name, other)
+
+
+class TestParametersOwnTheirMemory:
+    def test_upcycled_parameters_share_no_memory(self, tiny_pair):
+        dense, hybrid = tiny_pair
+        assert_no_shared_memory(hybrid.params, dense.params)
+
+    def test_loaded_parameters_are_writable_and_share_no_memory(self, tiny_pair, tmp_path):
+        _, hybrid = tiny_pair
+        ckpt_io.save(hybrid, tmp_path / "hybrid.ckpt")
+        loaded = ckpt_io.load(tmp_path / "hybrid.ckpt")
+        assert all(p.data.flags.writeable for p in loaded.params.values())
+        assert_no_shared_memory(loaded.params)
+
+    def test_writing_an_upcycled_expert_leaves_the_dense_source_unchanged(self, tiny_pair):
+        dense, hybrid = tiny_pair
+        before = {n: p.data.copy() for n, p in dense.params.items()}
+        sibling = hybrid.param("layer.0.expert.2.w1").data.copy()
+        hybrid.param("layer.0.expert.1.w1").data[...] += 1.0
+        for name, p in dense.params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+        np.testing.assert_array_equal(hybrid.param("layer.0.expert.2.w1").data, sibling)
 
 
 class TestHybridCheckpointIO:
