@@ -12,11 +12,12 @@ to the start of the payload. Dense and hybrid checkpoints share the format,
 hybrid ones simply carry the extra parameter names and config blocks.
 ``load`` refuses, naming the file, a header length field that is cut short
 or points past the end of the file, a header that is not UTF-8 JSON or lacks
-a key, a manifest whose entries do not follow one another from byte 0 or
-name a parameter twice, and a payload that does not end where the manifest
-ends. Each loaded parameter owns a writable copy of its bytes. ``save``
-renames a temporary file over the target, so a failed write never leaves a
-torn file.
+a key, a config block that does not hold exactly its dataclass's fields, a
+shape-bearing config field that disagrees with the parameters, a manifest
+whose entries do not follow one another from byte 0 or name a parameter
+twice, and a payload that does not end where the manifest ends. Each loaded
+parameter owns a writable copy of its bytes. ``save`` renames a temporary file
+over the target, so a failed write never leaves a torn file.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ from .tensor import Parameter
 from .token_moe import TokenMoEConfig
 
 MAGIC = b"HYMOECK1"
+# Each kind's checkpoint class and its header's config blocks, one dataclass each.
+_KINDS = {
+    "dense": (DenseCheckpoint, {"config": DenseConfig}),
+    "hybrid": (HybridCheckpoint, {"config": DenseConfig, "token_moe": TokenMoEConfig,
+                                  "segment_moe": SegmentMoEConfig}),
+}
 
 
 def _manifest(params: dict[str, Parameter]) -> tuple[list[dict], bytes]:
@@ -129,34 +136,64 @@ def _load_params(path: str | Path, header: dict, payload: bytes) -> dict[str, Pa
     return params
 
 
+def _config(path: str | Path, header: dict, block: str, cls):
+    """``cls`` from a header block that must hold exactly its fields."""
+    values, fields = _field(path, header, block), {f.name for f in dataclasses.fields(cls)}
+    if values.keys() != fields:
+        raise ValueError(
+            f"{path}: config block {block!r} must hold the fields of {cls.__name__}: "
+            f"missing {sorted(fields - values.keys())}, unknown {sorted(values.keys() - fields)}"
+        )
+    return cls(**values)
+
+
+def _check_shapes(path: str | Path, ckpt) -> None:
+    """Each shape-bearing config field must agree with the parameters it sizes."""
+    cfg, param = ckpt.config, ckpt.param
+    layers = 0
+    while f"layer.{layers}.norm1" in ckpt.params:
+        layers += 1
+    hybrid = isinstance(ckpt, HybridCheckpoint)
+    ffn_w1 = f"layer.0.{'shared' if hybrid else 'ffn'}.w1"
+    checks = [
+        ("config.vocab_size", cfg.vocab_size, "embed.tok", param("embed.tok").shape[0]),
+        ("config.hidden_size", cfg.hidden_size, "embed.tok", param("embed.tok").shape[1]),
+        ("config.max_seq_len", cfg.max_seq_len, "embed.pos", param("embed.pos").shape[0]),
+        ("config.num_layers", cfg.num_layers, "the layer count of the parameters", layers),
+        ("config.ffn_hidden", cfg.ffn_hidden, ffn_w1, param(ffn_w1).shape[1]),
+    ]
+    routers = {"token_moe": "layer.0.token_router", "segment_moe": "layer.0.seg_router"}
+    for block, router in routers.items() if hybrid else ():
+        moe = getattr(ckpt, block)
+        checks += [
+            (f"{block}.num_experts", moe.num_experts, router, param(router).shape[1]),
+            (f"{block}.hidden_size", moe.hidden_size, "config.hidden_size", cfg.hidden_size),
+        ]
+    for field, value, source, actual in checks:
+        if value != actual:
+            raise ValueError(f"{path}: header {field} = {value} disagrees with {source}: {actual}")
+
+
 def load(path: str | Path):
     """Load either checkpoint kind; returns DenseCheckpoint or HybridCheckpoint."""
     header, payload = _read(path)
     params = _load_params(path, header, payload)
     kind = _field(path, header, "kind")
-    config = DenseConfig(**_field(path, header, "config"))
-    if kind == "dense":
-        return DenseCheckpoint(config=config, params=params, meta=header.get("meta", {}))
-    if kind == "hybrid":
-        return HybridCheckpoint(
-            config=config,
-            token_moe=TokenMoEConfig(**_field(path, header, "token_moe")),
-            segment_moe=SegmentMoEConfig(**_field(path, header, "segment_moe")),
-            params=params,
-            meta=header.get("meta", {}),
-        )
-    raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
+    cls, blocks = _KINDS[kind]
+    configs = {block: _config(path, header, block, config) for block, config in blocks.items()}
+    ckpt = cls(params=params, meta=header.get("meta", {}), **configs)
+    _check_shapes(path, ckpt)
+    return ckpt
 
 
 def save(ckpt, path: str | Path) -> None:
     """Write a dense or hybrid checkpoint; each config block is its dataclass's fields."""
-    if isinstance(ckpt, HybridCheckpoint):
-        kind, blocks = "hybrid", ("config", "token_moe", "segment_moe")
-    elif isinstance(ckpt, DenseCheckpoint):
-        kind, blocks = "dense", ("config",)
-    else:
+    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(ckpt, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot save object of type {type(ckpt).__name__}")
     manifest, payload = _manifest(ckpt.params)
     header = {"kind": kind, "meta": ckpt.meta, "manifest": manifest}
-    header.update((block, dataclasses.asdict(getattr(ckpt, block))) for block in blocks)
+    header.update((block, dataclasses.asdict(getattr(ckpt, block))) for block in _KINDS[kind][1])
     _write(path, header, payload)

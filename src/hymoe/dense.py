@@ -14,8 +14,9 @@ Every sample is padded to ``max_seq_len`` and the batch runs as one flattened
 matrix; the logits are sliced back afterwards. Fixed internal shapes keep
 prefix logits bitwise reproducible: evaluating a sequence and any of its
 prefixes performs identical reductions position by position, so causality
-holds exactly rather than merely within a tolerance. Masked attention scores
-are *set* to a large negative constant (not added to) for the same reason.
+holds exactly rather than merely within a tolerance. The attention op is
+causal by construction: it sets every score of a later key to a large negative
+constant (not added to) for the same reason.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ from .tensor import (
     matmul,
     narrow,
     power,
-    reshape,
     scatter,
     silu,
     tmean,
 )
 
-MASK_VALUE = -1e30
 NORM_EPS = 1e-6
 
 
@@ -127,31 +126,31 @@ def mix_experts(experts: Sequence[tuple], x: Tensor, gates: Tensor,
     """The one expert dispatch of both MoEs: gather, FFN, scale, scatter back.
 
     ``picks[i] = (rows, gate_index)``: expert i runs :func:`ffn_forward` on
-    ``gather(x, rows)``, scales output row j by ``gather(gates, gate_index)[j]``
-    and scatters it onto row ``rows[j]``; the results are added onto ``out`` in
-    expert order. An expert with no rows adds nothing.
+    ``gather(x, rows)``, scales output row j by the gate ``gather(gates,
+    gate_index)[j, 0]`` (``gate_index`` selects an [n x 1] column, n =
+    ``rows.size``) and scatters it onto row ``rows[j]``; the results are added
+    onto ``out`` in expert order. An expert with no rows adds nothing.
     """
     for (w1, w2), (rows, gate_index) in zip(experts, picks, strict=True):
         if rows.size == 0:
             continue
-        weights = reshape(gather(gates, gate_index), (rows.size, 1))
+        weights = gather(gates, gate_index)
         contrib = scatter(ffn_forward(gather(x, rows), w1, w2) * weights, rows, x.shape)
         out = contrib if out is None else out + contrib
     return out
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-              num_heads: int, mask: np.ndarray) -> Tensor:
+              num_heads: int, length: int) -> Tensor:
     """Causal multi-head attention over a flattened batch of padded samples.
 
-    ``x`` is [B*L x hidden], every sample padded to the L = ``mask.shape[0]``
-    rows of its block, so B = 1 is a single sequence. Three projections, one
-    blocked attention tape op (:func:`causal_attention`) and the output
-    projection: five tape nodes per layer whatever B and the head count.
+    ``x`` is [B*L x hidden], every sample padded to the L = ``length`` rows of
+    its block, so B = 1 is a single sequence. Three projections, one blocked
+    attention tape op (:func:`causal_attention`, causal by construction) and
+    the output projection: five tape nodes per layer whatever B and the head
+    count.
     """
-    heads = causal_attention(
-        matmul(x, wq), matmul(x, wk), matmul(x, wv), num_heads, mask, MASK_VALUE
-    )
+    heads = causal_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), num_heads, length)
     return matmul(heads, wo)
 
 
@@ -195,7 +194,6 @@ def forward_batch(
     """
     cfg = ckpt.config
     L = cfg.max_seq_len
-    mask = np.triu(np.ones((L, L), dtype=bool), k=1)
     flat_ids = np.zeros((len(ids), L), dtype=np.int64)  # padded with id 0
     for b, a in enumerate(ids):
         flat_ids[b, : a.size] = a
@@ -206,7 +204,7 @@ def forward_batch(
         pre = f"layer.{l}"
         normed = rmsnorm(x, ckpt.param(f"{pre}.norm1"))
         wq, wk, wv, wo = (ckpt.param(f"{pre}.attn.{w}") for w in ("wq", "wk", "wv", "wo"))
-        h = x + attention(normed, wq, wk, wv, wo, cfg.num_heads, mask)
+        h = x + attention(normed, wq, wk, wv, wo, cfg.num_heads, L)
         u = rmsnorm(h, ckpt.param(f"{pre}.norm2"))
         x = h + ffn(l, u)
     return head_logits(ckpt, x, [a.size for a in ids], L)

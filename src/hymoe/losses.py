@@ -12,7 +12,7 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ def load_balance_loss(
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    total: Tensor | None = None
+    total = Tensor(0.0)
     per_layer_f: list[np.ndarray] = []
     per_layer_p: list[np.ndarray] = []
     for assign in gate_history:
@@ -75,9 +75,7 @@ def load_balance_loss(
         layer_loss = tsum(p * Tensor(f)) * (alpha * n)
         per_layer_f.append(f)
         per_layer_p.append(p.data.copy())
-        total = layer_loss if total is None else total + layer_loss
-    if total is None:
-        total = Tensor(0.0)
+        total = total + layer_loss
     return BalanceResult(loss=total, per_layer_f=per_layer_f, per_layer_p=per_layer_p)
 
 
@@ -92,6 +90,3 @@ class LossReport:
     per_layer_f: list[list[float]]
     per_layer_p: list[list[float]]
     lr: float
-
-    def to_json_dict(self, step: int) -> dict:
-        return {"step": step, **asdict(self)}

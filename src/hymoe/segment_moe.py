@@ -177,7 +177,7 @@ def segment_moe_forward(
     num_experts, r = assign.indices.shape
     if len(experts) != num_experts:
         raise ShapeError(f"expert count {len(experts)} vs assignment rows {num_experts}")
-    picks = [(chosen, (i, np.arange(r))) for i, chosen in enumerate(assign.indices)]
+    picks = [(chosen, (i, np.arange(r)[:, None])) for i, chosen in enumerate(assign.indices)]
     return mix_experts(experts, seg_emb, assign.weights, picks)
 
 

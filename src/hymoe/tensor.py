@@ -31,6 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+MASK_VALUE = -1e30  # what causal_attention sets a masked score to
+
+
 class ShapeError(ValueError):
     """Raised when operand shapes are inconsistent."""
 
@@ -72,19 +75,7 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(constant(other), self)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __truediv__(self, other):
@@ -92,9 +83,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -110,13 +98,6 @@ class Parameter(Tensor):
     @property
     def trainable(self) -> bool:
         return self.requires_grad
-
-    def copy(self, name: str | None = None, trainable: bool | None = None) -> "Parameter":
-        return Parameter(
-            self.name if name is None else name,
-            self.data,
-            self.trainable if trainable is None else trainable,
-        )
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
@@ -171,19 +152,6 @@ def add(a: Tensor, b) -> Tensor:
             _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    a, b = constant(a), constant(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -458,25 +426,20 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
 # attention
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
-                     mask: np.ndarray, fill: float) -> Tensor:
-    """Masked multi-head softmax attention over a flattened batch, as one tape op.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, length: int) -> Tensor:
+    """Causal multi-head softmax attention over a flattened batch, as one tape op.
 
-    ``q``, ``k`` and ``v`` are [B*L x hidden]: sample b owns rows b*L..(b+1)*L
-    and head h owns columns h*d..(h+1)*d. ``mask`` is [L x L] and true where a
-    query must not see a key; those scores are *set* to ``fill``. The work
-    runs one (sample, head) block at a time so that each [L x L] block stays
-    in cache, as in FlashAttention (Dao et al. 2022) but without its online
-    softmax. Each block repeats the arithmetic of the op-by-op graph it
-    replaces, so results are bitwise those of (q k^T) d^-1/2, a masked set, a
-    max-shifted softmax and probs @ v. The probabilities are kept for the
-    backward only when an input requires grad.
+    ``q``, ``k`` and ``v`` are [B*L x hidden] with L = ``length``: sample b
+    owns rows b*L..(b+1)*L and head h owns columns h*d..(h+1)*d. A query sees
+    its own key and the ones before it; every later score is *set* to
+    ``MASK_VALUE``. The work runs one (sample, head) block at a time so that
+    each [L x L] block stays in cache, as in FlashAttention (Dao et al. 2022)
+    but without its online softmax. Each block repeats the arithmetic of the
+    op-by-op graph it replaces, so results are bitwise those of
+    (q k^T) d^-1/2, a masked set, a max-shifted softmax and probs @ v. The
+    probabilities are kept for the backward only when an input requires grad.
     """
     q, k, v = constant(q), constant(k), constant(v)
-    mask = np.asarray(mask, dtype=bool)
-    length = mask.shape[0]
-    if mask.shape != (length, length):
-        raise ShapeError(f"causal_attention: mask must be square, got {mask.shape}")
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"causal_attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape}")
     rows, hidden = q.shape
@@ -485,6 +448,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
             f"causal_attention: {q.shape} does not split into [L={length}] samples "
             f"and {num_heads} heads"
         )
+    mask = np.triu(np.ones((length, length), dtype=bool), k=1)
     d = hidden // num_heads
     scale = d**-0.5
     blocks = [
@@ -501,7 +465,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     for r, c in blocks:
         p = np.ascontiguousarray(q.data[r, c]) @ np.ascontiguousarray(k.data[r, c].T)
         np.multiply(p, scale, out=p)
-        np.copyto(p, fill, where=mask)
+        np.copyto(p, MASK_VALUE, where=mask)
         np.subtract(p, p.max(axis=1, keepdims=True), out=p)
         np.exp(p, out=p)
         np.divide(p, p.sum(axis=1, keepdims=True), out=p)

@@ -106,5 +106,5 @@ def token_moe_forward(
         raise ShapeError("the shared expert 0 must hold gate slot 0 and no other slot")
     shared = ffn_forward(x, *shared_expert) * narrow(assign.gates, 1, 0, 1)
     picked = (np.nonzero(assign.indices == i) for i in range(1, assign.num_experts))
-    picks = [(rows, (rows, slots)) for rows, slots in picked]
+    picks = [(rows, (rows[:, None], slots[:, None])) for rows, slots in picked]
     return mix_experts(routed_experts, x, assign.gates, picks, out=shared)

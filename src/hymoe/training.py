@@ -1,26 +1,28 @@
 """Training loop: combined objective, freeze-respecting SGD, cosine schedule.
 
-``training_step`` works for both model kinds: hybrid checkpoints add the
-balance term and only their routers/experts/fusion matrices are trainable;
-dense checkpoints train everything with the NTP loss alone. Batches are
-derived statelessly from (seed, step), so resuming from a checkpoint replays
-the exact remaining batch sequence.
+``training_step`` is one path for both model kinds: the loss is the NTP loss
+plus the balance term over every layer's token gates. A hybrid checkpoint
+trains only its routers/experts/fusion matrices; a dense one has no gates, so
+its balance term is an exact 0.0 and it trains every parameter on the NTP loss
+alone. Batches are derived statelessly from (seed, step), so resuming from a
+checkpoint replays the exact remaining batch sequence.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dense import dense_forward_batch
-from .hybrid import HybridCheckpoint, HybridTrace, hybrid_forward_batch
+from .hybrid import HybridCheckpoint, hybrid_forward_batch
 from .losses import LossReport, load_balance_loss, ntp_loss
 from .tensor import Tensor, backward
+from .token_moe import GateAssignment
 
 
 @dataclass(frozen=True)
@@ -54,20 +56,20 @@ def cosine_lr(base: float, step: int, total_steps: int, warmup_steps: int = 0) -
     return base * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def _forward(ckpt, samples) -> tuple[list[Tensor], HybridTrace | None]:
-    """Per-sample logits, plus the routing trace for a hybrid checkpoint."""
+def _forward(ckpt, samples) -> tuple[list[Tensor], list[GateAssignment], np.ndarray | None]:
+    """Logits, each layer's token gates and the real rows (dense: no gates, every row)."""
     if isinstance(ckpt, HybridCheckpoint):
-        return hybrid_forward_batch(ckpt, samples)
-    return dense_forward_batch(ckpt, samples), None
+        logits, trace = hybrid_forward_batch(ckpt, samples)
+        return logits, [layer.gates for layer in trace.layers], trace.real_rows
+    return dense_forward_batch(ckpt, samples), [], None
 
 
 def _mean_ntp(logits: list[Tensor], targets) -> Tensor:
     """Batch mean of the per-sample NTP losses."""
-    pieces = [ntp_loss(lg, tg) for lg, tg in zip(logits, targets)]
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total + piece
-    return total * (1.0 / len(pieces))
+    total = Tensor(0.0)
+    for lg, tg in zip(logits, targets):
+        total = total + ntp_loss(lg, tg)
+    return total * (1.0 / len(logits))
 
 
 def training_step(
@@ -79,16 +81,12 @@ def training_step(
 ) -> LossReport:
     """One SGD step on the batch; updates trainable parameters only, and none
     if the loss or a trainable gradient is not finite."""
-    logits, trace = _forward(ckpt, samples)
+    logits, gate_history, real_rows = _forward(ckpt, samples)
     l_ntp = _mean_ntp(logits, targets)
-    total, balance = l_ntp, None
-    if trace is not None:
-        balance = load_balance_loss(
-            [layer.gates for layer in trace.layers], cfg.alpha, trace.real_rows
-        )
-        total = l_ntp + balance.loss
+    balance = load_balance_loss(gate_history, cfg.alpha, real_rows)
+    total = l_ntp + balance.loss
     total_val = total.item()
-    l_balance = balance.loss.item() if balance else 0.0
+    l_balance = balance.loss.item()
     if not math.isfinite(total_val):
         raise RuntimeError(
             f"non-finite loss at step {step}: ntp={l_ntp.item()!r}, balance={l_balance!r}"
@@ -106,18 +104,18 @@ def training_step(
         l_ntp=l_ntp.item(),
         l_balance=l_balance,
         total=total_val,
-        per_layer_f=[f.tolist() for f in balance.per_layer_f] if balance else [],
-        per_layer_p=[p.tolist() for p in balance.per_layer_p] if balance else [],
+        per_layer_f=[f.tolist() for f in balance.per_layer_f],
+        per_layer_p=[p.tolist() for p in balance.per_layer_p],
         lr=lr,
     )
 
 
 def evaluate_loss(ckpt, samples, targets) -> float:
     """Mean NTP loss over the given samples, no parameter updates."""
-    logits, _ = _forward(ckpt, samples)
+    logits, _, _ = _forward(ckpt, samples)
     return _mean_ntp(logits, targets).item()
 
 
 def write_metrics_line(path: Path, report: LossReport, step: int) -> None:
     with open(path, "a") as fh:
-        fh.write(json.dumps(report.to_json_dict(step)) + "\n")
+        fh.write(json.dumps({"step": step, **asdict(report)}) + "\n")

@@ -10,6 +10,8 @@ verifies exactly that on random probe sequences.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .dense import DenseCheckpoint, dense_forward
@@ -32,7 +34,7 @@ def upcycle(
     for name, p in dense.params.items():
         if ".ffn." in name:
             continue  # becomes the shared expert below
-        params[name] = p.copy(trainable=False)
+        params[name] = Parameter(name, p.data, False)
     experts = (
         [("shared", False)]
         + [(f"expert.{i}", True) for i in range(1, tok_cfg.num_experts)]
@@ -43,7 +45,7 @@ def upcycle(
         for expert, trainable in experts:
             for w in ("w1", "w2"):
                 name = f"{pre}.{expert}.{w}"
-                params[name] = dense.param(f"{pre}.ffn.{w}").copy(name=name, trainable=trainable)
+                params[name] = Parameter(name, dense.param(f"{pre}.ffn.{w}").data, trainable)
         params[f"{pre}.token_router"] = Parameter(
             f"{pre}.token_router", np.zeros((cfg.hidden_size, tok_cfg.num_experts))
         )
@@ -76,6 +78,11 @@ def fidelity_check(
         raise ValueError(f"probes must be >= 1, got {probes}: no probe would be compared")
     if cap < 2:
         raise ValueError(f"max_len must be >= 2, got a probe length cap of {cap}")
+    if hybrid.config != dense.config:
+        got = asdict(hybrid.config)
+        differ = [f"{k} (dense {v}, hybrid {got[k]})" for k, v in asdict(dense.config).items()
+                  if v != got[k]]
+        raise ValueError(f"configs differ, nothing to compare: {', '.join(differ)}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(probes):

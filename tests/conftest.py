@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,16 @@ def random_batch(config, batch_size, seq_len, seed=0):
     samples = [rng.integers(0, config.vocab_size, size=seq_len) for _ in range(batch_size)]
     targets = [rng.integers(0, config.vocab_size, size=seq_len) for _ in range(batch_size)]
     return samples, targets
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``, in place."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + header_len :])
 
 
 @pytest.fixture

@@ -174,6 +174,24 @@ class TestVerify:
         assert "OK" not in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [({"vocab_size": 64}, "vocab_size (dense 48, hybrid 64)"),
+         ({"num_heads": 4}, "num_heads (dense 2, hybrid 4)")],
+        ids=["vocab_size", "num_heads"],
+    )
+    def test_configs_that_differ_are_rejected(self, tmp_path, capsys, overrides, reason):
+        dense, _ = tiny_hybrid()
+        _, hybrid = tiny_hybrid(**overrides)
+        ckpt_io.save(dense, tmp_path / "dense.ckpt")
+        ckpt_io.save(hybrid, tmp_path / "hybrid.ckpt")
+        with pytest.raises(ValueError, match=r"^configs differ, nothing to compare: ") as err:
+            main(["verify", "--dense", str(tmp_path / "dense.ckpt"),
+                  "--hybrid", str(tmp_path / "hybrid.ckpt")])
+        assert reason in str(err.value)
+        assert "OK" not in capsys.readouterr().out
+
+
 class TestMetricsFile:
     def test_each_record_logs_the_learning_rate_of_its_step(self, workspace):
         cfg_path = write_cfg(

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import rewrite_header
+
 from hymoe import checkpoint as ckpt_io
 from hymoe.dense import (
     DenseCheckpoint,
@@ -224,6 +226,39 @@ class TestCheckpointFile:
         edit(header, {entry["name"]: entry for entry in header["manifest"]})
         new = json.dumps(header).encode("utf-8")
         path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + header_len :])
+        with pytest.raises(ValueError) as err:
+            ckpt_io.load(path)
+        assert type(err.value) is ValueError
+        assert str(path) in str(err.value)
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda c: c.pop("num_heads"),
+             "config block 'config' must hold the fields of DenseConfig: "
+             "missing ['num_heads'], unknown []"),
+            (lambda c: c.update(extra=1), "missing [], unknown ['extra']"),
+            (lambda c: c.update(hidden_size=32),
+             "header config.hidden_size = 32 disagrees with embed.tok: 16"),
+            (lambda c: c.update(vocab_size=64),
+             "header config.vocab_size = 64 disagrees with embed.tok: 48"),
+            (lambda c: c.update(max_seq_len=32),
+             "header config.max_seq_len = 32 disagrees with embed.pos: 24"),
+            (lambda c: c.update(num_layers=1),
+             "header config.num_layers = 1 disagrees with the layer count of the parameters: 2"),
+            (lambda c: c.update(num_layers=3),
+             "header config.num_layers = 3 disagrees with the layer count of the parameters: 2"),
+            (lambda c: c.update(ffn_hidden=32),
+             "header config.ffn_hidden = 32 disagrees with layer.0.ffn.w1: 24"),
+        ],
+        ids=["missing_field", "unknown_field", "hidden_size", "vocab_size", "max_seq_len",
+             "fewer_layers", "more_layers", "ffn_hidden"],
+    )
+    def test_config_that_disagrees_is_rejected(self, tmp_path, edit, reason):
+        path = tmp_path / "dense.ckpt"
+        ckpt_io.save(init_dense(tiny_config(num_heads=4), seed=8), path)
+        rewrite_header(path, lambda header: edit(header["config"]))
         with pytest.raises(ValueError) as err:
             ckpt_io.load(path)
         assert type(err.value) is ValueError

@@ -123,8 +123,7 @@ class TestForward:
             Parameter("s.w2", rng.normal(size=(ffn, hidden)), trainable=False),
         )
         routed = [
-            (shared[0].copy(name=f"e{i}.w1", trainable=True),
-             shared[1].copy(name=f"e{i}.w2", trainable=True))
+            (Parameter(f"e{i}.w1", shared[0].data), Parameter(f"e{i}.w2", shared[1].data))
             for i in range(1, 4)
         ]
         x = Tensor(rng.normal(size=(10, hidden)))

@@ -131,6 +131,7 @@ class TestTrainingStep:
         samples, targets = random_batch(dense.config, 2, 12, seed=6)
         report = training_step(dense, samples, targets, cfg, 0)
         assert report.l_balance == 0.0
+        assert report.total == report.l_ntp  # the dense step adds an exact zero
         assert report.per_layer_f == []
 
 

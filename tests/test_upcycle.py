@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_batch, tiny_dense_config, tiny_hybrid
+from conftest import random_batch, rewrite_header, tiny_dense_config, tiny_hybrid
 
 from hymoe import checkpoint as ckpt_io
 from hymoe.dense import dense_forward, init_dense
@@ -94,6 +94,19 @@ class TestFidelity:
         with pytest.raises(ValueError, match=f"^{name} must be >= "):
             fidelity_check(dense, hybrid, **kwargs)
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [({"vocab_size": 64}, "vocab_size (dense 48, hybrid 64)"),
+         ({"num_heads": 4}, "num_heads (dense 2, hybrid 4)")],
+        ids=["vocab_size", "num_heads"],
+    )
+    def test_configs_that_differ_are_rejected(self, overrides, reason):
+        dense = init_dense(tiny_dense_config(), seed=0)
+        _, hybrid = tiny_hybrid(**overrides)
+        with pytest.raises(ValueError, match=r"^configs differ, nothing to compare: ") as err:
+            fidelity_check(dense, hybrid, probes=4)
+        assert reason in str(err.value)
+
     def test_training_breaks_fidelity_but_not_dense(self, tiny_pair):
         dense, hybrid = tiny_pair
         seq = [1, 2, 3, 4, 5, 6, 7, 8]
@@ -157,3 +170,37 @@ class TestHybridCheckpointIO:
         ckpt_io.save(hybrid, path)
         loaded = ckpt_io.load(path)
         assert fidelity_check(dense, loaded, probes=8, seed=5) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "block, edit, reason",
+        [
+            ("token_moe", lambda c: c.pop("top_k"),
+             "config block 'token_moe' must hold the fields of TokenMoEConfig: "
+             "missing ['top_k'], unknown []"),
+            ("segment_moe", lambda c: c.update(extra=1),
+             "config block 'segment_moe' must hold the fields of SegmentMoEConfig: "
+             "missing [], unknown ['extra']"),
+            ("token_moe", lambda c: c.update(num_experts=3),
+             "header token_moe.num_experts = 3 disagrees with layer.0.token_router: 4"),
+            ("segment_moe", lambda c: c.update(num_experts=4),
+             "header segment_moe.num_experts = 4 disagrees with layer.0.seg_router: 3"),
+            ("token_moe", lambda c: c.update(hidden_size=32),
+             "header token_moe.hidden_size = 32 disagrees with config.hidden_size: 16"),
+            ("segment_moe", lambda c: c.update(hidden_size=8),
+             "header segment_moe.hidden_size = 8 disagrees with config.hidden_size: 16"),
+            ("config", lambda c: c.update(ffn_hidden=32),
+             "header config.ffn_hidden = 32 disagrees with layer.0.shared.w1: 24"),
+        ],
+        ids=["token_missing_field", "segment_unknown_field", "token_num_experts",
+             "segment_num_experts", "token_hidden_size", "segment_hidden_size", "ffn_hidden"],
+    )
+    def test_config_that_disagrees_is_rejected(self, tiny_pair, tmp_path, block, edit, reason):
+        _, hybrid = tiny_pair
+        path = tmp_path / "hybrid.ckpt"
+        ckpt_io.save(hybrid, path)
+        rewrite_header(path, lambda header: edit(header[block]))
+        with pytest.raises(ValueError) as err:
+            ckpt_io.load(path)
+        assert type(err.value) is ValueError
+        assert str(path) in str(err.value)
+        assert reason in str(err.value)

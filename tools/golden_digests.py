@@ -11,7 +11,7 @@ digest of
   T=100 and T=256 after those steps;
 * ``ckpt_bytes``: the bytes of the saved hybrid checkpoint.
 
-Shapes: ``desk`` (dense seed 11, 6 token + 6 segment experts, top-2,
+Hybrid shapes: ``desk`` (dense seed 11, 6 token + 6 segment experts, top-2,
 window 32), ``w24_e5_k3`` (window 24, 5 + 5 experts, top-3) and
 ``distinct_k3`` (6 + 6 experts, top-3, window 32). In the first two the
 upcycled experts stay identical copies with equal gates, so a change that only
@@ -21,11 +21,17 @@ reorders the sum of expert outputs leaves their digests unchanged.
 + N(0, 0.05). Its experts differ and each token mixes two routed experts, so
 a reordered sum moves its digests.
 
-Run it on the source tree before and after a refactor that claims bitwise
-equality, and compare the two lines::
+The ``dense`` entry covers dense training: a tiny all-trainable dense model
+(vocab 64, hidden 16, 2 layers, max_seq_len 32) trained 4 steps on seeded
+ragged batches (4 samples of 2..32 tokens), with the digest of its
+``params`` and of the last step's ``LossReport.total`` (``total``).
 
-    python3 tools/golden_digests.py --src /path/to/parent/src
-    python3 tools/golden_digests.py
+Run it on the source tree before and after a refactor that claims bitwise
+equality. ``--against`` runs the script on the other tree in a subprocess,
+prints both lines (that tree's first) and exits 1 naming every key whose
+digest differs::
+
+    python3 tools/golden_digests.py --against /path/to/parent/src
 
 The digests depend on the numpy/BLAS build, so no expected values are kept;
 BLAS is pinned to one thread.
@@ -38,6 +44,7 @@ import hashlib
 import importlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +58,9 @@ SHAPES = {
 DENSE_SEED = 11
 STEPS = 6
 BATCH, SEQ_LEN = 8, 256
+DENSE_TINY = {"vocab_size": 64, "hidden_size": 16, "num_layers": 2, "ffn_hidden": 32,
+              "num_heads": 2, "max_seq_len": 32}
+DENSE_STEPS, DENSE_BATCH = 4, 4
 
 
 def _digest(arrays) -> str:
@@ -134,6 +144,37 @@ def shape_digests(shape: dict) -> dict:
     return out
 
 
+def dense_digests() -> dict:
+    """A tiny all-trainable dense model after 4 SGD steps on ragged batches."""
+    import numpy as np
+
+    from hymoe.dense import DenseConfig, init_dense
+    from hymoe.training import TrainConfig, training_step
+
+    dense = init_dense(DenseConfig(**DENSE_TINY), seed=DENSE_SEED)
+    cfg = TrainConfig(batch_size=DENSE_BATCH, seq_len=DENSE_TINY["max_seq_len"],
+                      learning_rate=0.2, steps=DENSE_STEPS)
+    rng = np.random.default_rng(DENSE_SEED)
+    for step in range(DENSE_STEPS):
+        rows = [rng.integers(0, DENSE_TINY["vocab_size"], size=int(n) + 1)
+                for n in rng.integers(2, DENSE_TINY["max_seq_len"] + 1, size=DENSE_BATCH)]
+        report = training_step(dense, [r[:-1] for r in rows], [r[1:] for r in rows], cfg, step)
+    return {
+        "params": _digest(dense.params[n].data for n in sorted(dense.params)),
+        "total": _digest([np.float64(report.total)]),
+    }
+
+
+def differing_keys(a: dict, b: dict) -> list[str]:
+    """``shape.key`` for every digest that is missing from one side or differs."""
+    return [
+        f"{shape}.{key}"
+        for shape in sorted(a.keys() | b.keys())
+        for key in sorted(a.get(shape, {}).keys() | b.get(shape, {}).keys())
+        if a.get(shape, {}).get(key) != b.get(shape, {}).get(key)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -141,15 +182,35 @@ def main(argv: list[str] | None = None) -> int:
         default=str(Path(__file__).resolve().parent.parent / "src"),
         help="source tree to import hymoe from (default: this checkout's src/)",
     )
+    parser.add_argument(
+        "--against",
+        metavar="SRC",
+        help="also run on this source tree in a subprocess and compare the two lines",
+    )
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before numpy is first imported
+    other = None
+    if args.against:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--src", args.against],
+            stdout=subprocess.PIPE, text=True, check=True,
+        )
+        other = json.loads(proc.stdout)
     sys.path.insert(0, str(Path(args.src).resolve()))
     import hymoe
 
     print(f"hymoe from {Path(hymoe.__file__).parent}", file=sys.stderr)
-    print(json.dumps({name: shape_digests(shape) for name, shape in SHAPES.items()}))
-    return 0
+    digests = {name: shape_digests(shape) for name, shape in SHAPES.items()}
+    digests["dense"] = dense_digests()
+    if other is not None:
+        print(json.dumps(other))
+    print(json.dumps(digests))
+    if other is None:
+        return 0
+    differ = differing_keys(other, digests)
+    print(f"differ: {', '.join(differ)}" if differ else "identical", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
