@@ -5,77 +5,3 @@ segment-level expert-choice MoE over sliding-window segments, fused per
 layer, upcycled from a dense toy language model and trained with a combined
 next-token + load-balance objective that updates only the new machinery.
 """
-
-from .analytics import RoutingReport, evaluate_perplexity, routing_analytics
-from .checkpoint import load, save
-from .corpus import CorpusManifest, MiniLanguage, default_languages, generate_corpus
-from .dense import DenseCheckpoint, DenseConfig, dense_forward, ffn_forward, init_dense
-from .hybrid import HybridCheckpoint, hybrid_forward, hybrid_forward_batch
-from .losses import LossReport, load_balance_loss, ntp_loss
-from .segment_moe import (
-    ExpertChoiceAssignment,
-    SegmentationPlan,
-    SegmentMoEConfig,
-    compute_capacity,
-    embed_segments,
-    expert_choice_route,
-    fuse_layer_outputs,
-    partition_segments,
-    segment_moe_forward,
-)
-from .tensor import Parameter, ShapeError, Tensor, finite_diff_grad, top_k_indices
-from .token_moe import (
-    GateAssignment,
-    TokenMoEConfig,
-    compute_token_gates,
-    token_affinity_scores,
-    token_moe_forward,
-)
-from .training import TrainConfig, training_step
-from .upcycle import fidelity_check, upcycle
-
-__all__ = [
-    "CorpusManifest",
-    "DenseCheckpoint",
-    "DenseConfig",
-    "ExpertChoiceAssignment",
-    "GateAssignment",
-    "HybridCheckpoint",
-    "LossReport",
-    "MiniLanguage",
-    "Parameter",
-    "RoutingReport",
-    "SegmentMoEConfig",
-    "SegmentationPlan",
-    "ShapeError",
-    "Tensor",
-    "TokenMoEConfig",
-    "TrainConfig",
-    "compute_capacity",
-    "compute_token_gates",
-    "default_languages",
-    "dense_forward",
-    "embed_segments",
-    "evaluate_perplexity",
-    "expert_choice_route",
-    "ffn_forward",
-    "fidelity_check",
-    "finite_diff_grad",
-    "fuse_layer_outputs",
-    "generate_corpus",
-    "hybrid_forward",
-    "hybrid_forward_batch",
-    "init_dense",
-    "load",
-    "load_balance_loss",
-    "ntp_loss",
-    "partition_segments",
-    "routing_analytics",
-    "save",
-    "segment_moe_forward",
-    "token_affinity_scores",
-    "token_moe_forward",
-    "top_k_indices",
-    "training_step",
-    "upcycle",
-]

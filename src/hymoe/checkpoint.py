@@ -8,14 +8,15 @@ Layout on disk::
     payload       concatenated tensor data, float64 little-endian
 
 Manifest entries carry {name, shape, offset, trainable}; offsets are relative
-to the start of the payload. Dense and hybrid checkpoints share the format,
-hybrid ones simply carry the extra parameter names and config blocks.
+to the start of the payload. Dense and hybrid checkpoints share the format.
 ``load`` refuses, naming the file, a header length field that is cut short
 or points past the end of the file, a header that is not UTF-8 JSON or lacks
 a key, a config block that does not hold exactly its dataclass's fields, a
-shape-bearing config field that disagrees with the parameters, a manifest
-whose entries do not follow one another from byte 0 or name a parameter
-twice, and a payload that does not end where the manifest ends. Each loaded
+manifest whose entries do not follow one another from byte 0 or name a
+parameter twice, a payload that does not end where the manifest ends, and
+parameters that are not exactly the names, shapes and trainable flags of the
+layout its config blocks give (``dense_shapes`` or ``hybrid_layout``), the one
+``init_dense`` and ``upcycle`` build. Each loaded
 parameter owns a writable copy of its bytes. ``save`` renames a temporary file
 over the target, so a failed write never leaves a torn file.
 """
@@ -30,18 +31,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense import DenseCheckpoint, DenseConfig
-from .hybrid import HybridCheckpoint
+from .dense import DenseCheckpoint, DenseConfig, dense_shapes
+from .hybrid import HybridCheckpoint, hybrid_layout
 from .segment_moe import SegmentMoEConfig
 from .tensor import Parameter
 from .token_moe import TokenMoEConfig
 
 MAGIC = b"HYMOECK1"
-# Each kind's checkpoint class and its header's config blocks, one dataclass each.
+# Each kind's checkpoint class, its header's config blocks (one dataclass each)
+# and its layout: each parameter's (name, shape, trainable, ...) from the configs.
 _KINDS = {
-    "dense": (DenseCheckpoint, {"config": DenseConfig}),
+    "dense": (DenseCheckpoint, {"config": DenseConfig},
+              lambda config: ((name, shape, True) for name, shape in dense_shapes(config).items())),
     "hybrid": (HybridCheckpoint, {"config": DenseConfig, "token_moe": TokenMoEConfig,
-                                  "segment_moe": SegmentMoEConfig}),
+                                  "segment_moe": SegmentMoEConfig}, hybrid_layout),
 }
 
 
@@ -147,31 +150,21 @@ def _config(path: str | Path, header: dict, block: str, cls):
     return cls(**values)
 
 
-def _check_shapes(path: str | Path, ckpt) -> None:
-    """Each shape-bearing config field must agree with the parameters it sizes."""
-    cfg, param = ckpt.config, ckpt.param
-    layers = 0
-    while f"layer.{layers}.norm1" in ckpt.params:
-        layers += 1
-    hybrid = isinstance(ckpt, HybridCheckpoint)
-    ffn_w1 = f"layer.0.{'shared' if hybrid else 'ffn'}.w1"
-    checks = [
-        ("config.vocab_size", cfg.vocab_size, "embed.tok", param("embed.tok").shape[0]),
-        ("config.hidden_size", cfg.hidden_size, "embed.tok", param("embed.tok").shape[1]),
-        ("config.max_seq_len", cfg.max_seq_len, "embed.pos", param("embed.pos").shape[0]),
-        ("config.num_layers", cfg.num_layers, "the layer count of the parameters", layers),
-        ("config.ffn_hidden", cfg.ffn_hidden, ffn_w1, param(ffn_w1).shape[1]),
+def _check_layout(path: str | Path, params: dict[str, Parameter], layout) -> None:
+    """The parameters must be exactly the layout's names, shapes and trainable flags."""
+    got = {name: (p.data.shape, p.trainable) for name, p in params.items()}
+    want = {name: (shape, trainable) for name, shape, trainable, *_ in layout}
+
+    def show(entry):
+        return "absent" if entry is None else f"{entry[0]} {'trainable' if entry[1] else 'frozen'}"
+
+    differ = [
+        f"{name}: file {show(got.get(name))}, layout {show(want.get(name))}"
+        for name in want | got if got.get(name) != want.get(name)
     ]
-    routers = {"token_moe": "layer.0.token_router", "segment_moe": "layer.0.seg_router"}
-    for block, router in routers.items() if hybrid else ():
-        moe = getattr(ckpt, block)
-        checks += [
-            (f"{block}.num_experts", moe.num_experts, router, param(router).shape[1]),
-            (f"{block}.hidden_size", moe.hidden_size, "config.hidden_size", cfg.hidden_size),
-        ]
-    for field, value, source, actual in checks:
-        if value != actual:
-            raise ValueError(f"{path}: header {field} = {value} disagrees with {source}: {actual}")
+    if differ:
+        raise ValueError(f"{path}: {len(differ)} parameter(s) disagree with the layout of "
+                         f"the header's configs: {'; '.join(differ[:3])}")
 
 
 def load(path: str | Path):
@@ -181,16 +174,15 @@ def load(path: str | Path):
     kind = _field(path, header, "kind")
     if kind not in _KINDS:
         raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
-    cls, blocks = _KINDS[kind]
+    cls, blocks, layout = _KINDS[kind]
     configs = {block: _config(path, header, block, config) for block, config in blocks.items()}
-    ckpt = cls(params=params, meta=header.get("meta", {}), **configs)
-    _check_shapes(path, ckpt)
-    return ckpt
+    _check_layout(path, params, layout(*configs.values()))
+    return cls(params=params, meta=header.get("meta", {}), **configs)
 
 
 def save(ckpt, path: str | Path) -> None:
     """Write a dense or hybrid checkpoint; each config block is its dataclass's fields."""
-    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(ckpt, cls)), None)
+    kind = next((k for k, (cls, *_) in _KINDS.items() if isinstance(ckpt, cls)), None)
     if kind is None:
         raise TypeError(f"cannot save object of type {type(ckpt).__name__}")
     manifest, payload = _manifest(ckpt.params)

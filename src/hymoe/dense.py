@@ -79,31 +79,30 @@ class DenseCheckpoint:
             raise KeyError(f"checkpoint has no parameter named {name!r}") from None
 
 
-def init_dense(config: DenseConfig, seed: int = 0) -> DenseCheckpoint:
-    """Fresh random dense checkpoint; deterministic given the seed."""
-    rng = np.random.default_rng(seed)
+def dense_shapes(config: DenseConfig) -> dict[str, tuple[int, ...]]:
+    """Each dense parameter's shape by name, in init order: the dense layout."""
     h, f, v = config.hidden_size, config.ffn_hidden, config.vocab_size
-
-    def mat(rows, cols, scale):
-        return rng.normal(0.0, scale, size=(rows, cols))
-
-    params: dict[str, Parameter] = {}
-
-    def put(name, data):
-        params[name] = Parameter(name, data, trainable=True)
-
-    put("embed.tok", mat(v, h, 0.08))
-    put("embed.pos", mat(config.max_seq_len, h, 0.08))
+    shapes = {"embed.tok": (v, h), "embed.pos": (config.max_seq_len, h)}
     for l in range(config.num_layers):
         pre = f"layer.{l}"
-        put(f"{pre}.norm1", np.ones(h))
-        for w in ("wq", "wk", "wv", "wo"):
-            put(f"{pre}.attn.{w}", mat(h, h, h**-0.5))
-        put(f"{pre}.norm2", np.ones(h))
-        put(f"{pre}.ffn.w1", mat(h, f, h**-0.5))
-        put(f"{pre}.ffn.w2", mat(f, h, f**-0.5))
-    put("final_norm", np.ones(h))
-    put("head", mat(h, v, h**-0.5))
+        shapes[f"{pre}.norm1"] = (h,)
+        shapes.update((f"{pre}.attn.{w}", (h, h)) for w in ("wq", "wk", "wv", "wo"))
+        shapes |= {f"{pre}.norm2": (h,), f"{pre}.ffn.w1": (h, f), f"{pre}.ffn.w2": (f, h)}
+    return shapes | {"final_norm": (h,), "head": (h, v)}
+
+
+def init_dense(config: DenseConfig, seed: int = 0) -> DenseCheckpoint:
+    """Seeded fresh checkpoint: each of :func:`dense_shapes`, in order and trainable.
+
+    Norm scales start at 1, ``embed.*`` at N(0, 0.08) and every other matrix
+    at N(0, fan_in^-1/2), its fan-in being its row count.
+    """
+    rng = np.random.default_rng(seed)
+    params: dict[str, Parameter] = {}
+    for name, shape in dense_shapes(config).items():
+        scale = 0.08 if name.startswith("embed.") else shape[0] ** -0.5
+        data = np.ones(shape) if len(shape) == 1 else rng.normal(0.0, scale, size=shape)
+        params[name] = Parameter(name, data, trainable=True)
     return DenseCheckpoint(config=config, params=params, meta={"step": 0, "seed": seed})
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseCheckpoint, DenseConfig, forward_batch
+from .dense import DenseCheckpoint, DenseConfig, dense_shapes, forward_batch
 from .dense import _validate_tokens  # shared input validation
 # Not called here; bench/workloads.trace_targets() hooks these names.
 from .dense import attention, head_logits as head_logits_flat, rmsnorm  # noqa: F401
@@ -71,6 +71,33 @@ class HybridCheckpoint:
     def segment_experts(self, layer: int) -> list[tuple[Parameter, Parameter]]:
         n = self.segment_moe.num_experts
         return [self._ffn(f"layer.{layer}.seg_expert.{i}") for i in range(n)]
+
+
+def hybrid_layout(config: DenseConfig, tok_cfg: TokenMoEConfig, seg_cfg: SegmentMoEConfig):
+    """Yield each hybrid parameter's (name, shape, trainable, source), in build order.
+
+    The dense parameters other than the FFNs are frozen, each its own source.
+    Per layer, the shared expert (frozen) and the routed and segment experts
+    (trainable) take their source from the layer's dense ``ffn.w1``/``ffn.w2``.
+    The routers, whose rows are each MoE config's ``hidden_size``, and the
+    fusion pair are trainable and have no source.
+    """
+    shapes = dense_shapes(config)
+    for name, shape in shapes.items():
+        if ".ffn." not in name:
+            yield name, shape, False, name
+    experts = ["shared", *(f"expert.{i}" for i in range(1, tok_cfg.num_experts)),
+               *(f"seg_expert.{i}" for i in range(seg_cfg.num_experts))]
+    for l in range(config.num_layers):
+        pre = f"layer.{l}"
+        for expert in experts:
+            for w in ("w1", "w2"):
+                source = f"{pre}.ffn.{w}"
+                yield f"{pre}.{expert}.{w}", shapes[source], expert != "shared", source
+        yield f"{pre}.token_router", (tok_cfg.hidden_size, tok_cfg.num_experts), True, None
+        yield f"{pre}.seg_router", (seg_cfg.hidden_size, seg_cfg.num_experts), True, None
+        for fuse in ("fuse_tok", "fuse_seg"):
+            yield f"{pre}.{fuse}", (config.hidden_size, config.hidden_size), True, None
 
 
 @dataclass

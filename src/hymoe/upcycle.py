@@ -1,10 +1,10 @@
 """Convert a dense checkpoint into the hybrid MoE layout.
 
-Every expert starts as a bitwise copy of the layer's original FFN: the
-original weights become the frozen shared expert, and the routed token
-experts and segment experts are trainable copies. Routers start at zero
-(uniform affinities) and the fusion pair at (identity, zero), so a freshly
-upcycled model reproduces the dense model's logits. ``fidelity_check``
+:func:`upcycle` builds :func:`hymoe.hybrid.hybrid_layout`: a parameter with a
+source copies it bitwise, so every expert starts as the layer's FFN (frozen
+shared expert, trainable routed and segment experts). ``fuse_tok`` starts at
+the identity, the routers and ``fuse_seg`` at zero (uniform affinities), so a
+freshly upcycled model reproduces the dense model's logits; ``fidelity_check``
 verifies exactly that on random probe sequences.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .dense import DenseCheckpoint, dense_forward
-from .hybrid import HybridCheckpoint, hybrid_forward
+from .hybrid import HybridCheckpoint, hybrid_forward, hybrid_layout
 from .segment_moe import SegmentMoEConfig
 from .tensor import Parameter
 from .token_moe import TokenMoEConfig
@@ -24,6 +24,7 @@ from .token_moe import TokenMoEConfig
 def upcycle(
     dense: DenseCheckpoint, tok_cfg: TokenMoEConfig, seg_cfg: SegmentMoEConfig
 ) -> HybridCheckpoint:
+    """The hybrid model of ``dense`` at step 0; both MoE widths must be the dense one."""
     cfg = dense.config
     if tok_cfg.hidden_size != cfg.hidden_size or seg_cfg.hidden_size != cfg.hidden_size:
         raise ValueError(
@@ -31,31 +32,12 @@ def upcycle(
             f"token {tok_cfg.hidden_size}, segment {seg_cfg.hidden_size}"
         )
     params = {}
-    for name, p in dense.params.items():
-        if ".ffn." in name:
-            continue  # becomes the shared expert below
-        params[name] = Parameter(name, p.data, False)
-    experts = (
-        [("shared", False)]
-        + [(f"expert.{i}", True) for i in range(1, tok_cfg.num_experts)]
-        + [(f"seg_expert.{i}", True) for i in range(seg_cfg.num_experts)]
-    )
-    for l in range(cfg.num_layers):
-        pre = f"layer.{l}"
-        for expert, trainable in experts:
-            for w in ("w1", "w2"):
-                name = f"{pre}.{expert}.{w}"
-                params[name] = Parameter(name, dense.param(f"{pre}.ffn.{w}").data, trainable)
-        params[f"{pre}.token_router"] = Parameter(
-            f"{pre}.token_router", np.zeros((cfg.hidden_size, tok_cfg.num_experts))
-        )
-        params[f"{pre}.seg_router"] = Parameter(
-            f"{pre}.seg_router", np.zeros((cfg.hidden_size, seg_cfg.num_experts))
-        )
-        params[f"{pre}.fuse_tok"] = Parameter(f"{pre}.fuse_tok", np.eye(cfg.hidden_size))
-        params[f"{pre}.fuse_seg"] = Parameter(
-            f"{pre}.fuse_seg", np.zeros((cfg.hidden_size, cfg.hidden_size))
-        )
+    for name, shape, trainable, source in hybrid_layout(cfg, tok_cfg, seg_cfg):
+        if source is not None:
+            data = dense.param(source).data
+        else:
+            data = np.eye(*shape) if name.endswith("fuse_tok") else np.zeros(shape)
+        params[name] = Parameter(name, data, trainable)
     return HybridCheckpoint(
         config=cfg,
         token_moe=tok_cfg,

@@ -1,7 +1,11 @@
 import json
+import os
 import struct
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # one BLAS thread: before numpy is first imported
+
+import numpy as np  # noqa: E402
 import pytest
 
 from hymoe.dense import DenseConfig, init_dense

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from hymoe.dense import (
     dense_forward_batch,
     ffn_forward,
     init_dense,
+    rmsnorm,
 )
 from hymoe.tensor import Tensor
 
@@ -59,6 +61,14 @@ class TestFFN:
         pre = x @ w1
         hidden = pre * (1.0 / (1.0 + np.exp(-pre)))
         np.testing.assert_allclose(out.data, hidden @ w2, atol=1e-12)
+
+
+def test_rmsnorm_adds_an_eps_of_1e_minus_6_to_the_mean_square():
+    out = rmsnorm(Tensor(np.array([[1e-3, 0.0]])), Tensor(np.ones(2))).data
+    expected = 1e-3 / math.sqrt(0.5e-6 + 1e-6)
+    assert expected == pytest.approx(0.816496580927726, rel=1e-12)
+    assert out[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert out[0, 1] == 0.0
 
 
 class TestDenseForward:
@@ -240,17 +250,17 @@ class TestCheckpointFile:
              "missing ['num_heads'], unknown []"),
             (lambda c: c.update(extra=1), "missing [], unknown ['extra']"),
             (lambda c: c.update(hidden_size=32),
-             "header config.hidden_size = 32 disagrees with embed.tok: 16"),
+             "embed.tok: file (48, 16) trainable, layout (48, 32) trainable"),
             (lambda c: c.update(vocab_size=64),
-             "header config.vocab_size = 64 disagrees with embed.tok: 48"),
+             "embed.tok: file (48, 16) trainable, layout (64, 16) trainable"),
             (lambda c: c.update(max_seq_len=32),
-             "header config.max_seq_len = 32 disagrees with embed.pos: 24"),
+             "embed.pos: file (24, 16) trainable, layout (32, 16) trainable"),
             (lambda c: c.update(num_layers=1),
-             "header config.num_layers = 1 disagrees with the layer count of the parameters: 2"),
+             "layer.1.attn.wk: file (16, 16) trainable, layout absent"),
             (lambda c: c.update(num_layers=3),
-             "header config.num_layers = 3 disagrees with the layer count of the parameters: 2"),
+             "layer.2.norm1: file absent, layout (16,) trainable"),
             (lambda c: c.update(ffn_hidden=32),
-             "header config.ffn_hidden = 32 disagrees with layer.0.ffn.w1: 24"),
+             "layer.0.ffn.w1: file (16, 24) trainable, layout (16, 32) trainable"),
         ],
         ids=["missing_field", "unknown_field", "hidden_size", "vocab_size", "max_seq_len",
              "fewer_layers", "more_layers", "ffn_hidden"],

@@ -35,6 +35,11 @@ class TestCosineSchedule:
         values = [cosine_lr(1.0, s, 40) for s in range(41)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_warmup_reaches_base_on_its_last_step_then_decays(self):
+        expected = {0: 0.025, 3: 0.1, 4: 0.1, 9: 0.006698729810778065}
+        for step, lr in expected.items():
+            assert cosine_lr(0.1, step, 10, 4) == pytest.approx(lr, rel=1e-15), step
+
 
 class TestTrainingStep:
     def test_frozen_parameters_never_move(self, tiny_pair):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -181,15 +183,15 @@ class TestHybridCheckpointIO:
              "config block 'segment_moe' must hold the fields of SegmentMoEConfig: "
              "missing [], unknown ['extra']"),
             ("token_moe", lambda c: c.update(num_experts=3),
-             "header token_moe.num_experts = 3 disagrees with layer.0.token_router: 4"),
+             "layer.0.token_router: file (16, 4) trainable, layout (16, 3) trainable"),
             ("segment_moe", lambda c: c.update(num_experts=4),
-             "header segment_moe.num_experts = 4 disagrees with layer.0.seg_router: 3"),
+             "layer.0.seg_router: file (16, 3) trainable, layout (16, 4) trainable"),
             ("token_moe", lambda c: c.update(hidden_size=32),
-             "header token_moe.hidden_size = 32 disagrees with config.hidden_size: 16"),
+             "layer.0.token_router: file (16, 4) trainable, layout (32, 4) trainable"),
             ("segment_moe", lambda c: c.update(hidden_size=8),
-             "header segment_moe.hidden_size = 8 disagrees with config.hidden_size: 16"),
+             "layer.0.seg_router: file (16, 3) trainable, layout (8, 3) trainable"),
             ("config", lambda c: c.update(ffn_hidden=32),
-             "header config.ffn_hidden = 32 disagrees with layer.0.shared.w1: 24"),
+             "layer.0.shared.w1: file (16, 24) frozen, layout (16, 32) frozen"),
         ],
         ids=["token_missing_field", "segment_unknown_field", "token_num_experts",
              "segment_num_experts", "token_hidden_size", "segment_hidden_size", "ffn_hidden"],
@@ -204,3 +206,38 @@ class TestHybridCheckpointIO:
         assert type(err.value) is ValueError
         assert str(path) in str(err.value)
         assert reason in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda e: e["embed.tok"].update(name="embed.tokens"),
+             "embed.tok: file absent, layout (48, 16) frozen"),
+            (lambda e: e["final_norm"].update(name="final_scale"),
+             "final_norm: file absent, layout (16,) frozen"),
+            (lambda e: e["layer.0.shared.w1"].update(trainable=True),
+             "layer.0.shared.w1: file (16, 24) trainable, layout (16, 24) frozen"),
+            (lambda e: e["layer.1.attn.wq"].update(trainable=True),
+             "layer.1.attn.wq: file (16, 16) trainable, layout (16, 16) frozen"),
+            (lambda e: e["layer.0.seg_router"].update(trainable=False),
+             "layer.0.seg_router: file (16, 3) frozen, layout (16, 3) trainable"),
+        ],
+        ids=["embed_tok_renamed", "final_norm_renamed", "shared_expert_thawed",
+             "attention_thawed", "router_frozen"],
+    )
+    def test_manifest_off_the_layout_is_rejected(self, tiny_pair, tmp_path, edit, reason):
+        _, hybrid = tiny_pair
+        path = tmp_path / "hybrid.ckpt"
+        ckpt_io.save(hybrid, path)
+        rewrite_header(path, lambda header: edit({e["name"]: e for e in header["manifest"]}))
+        with pytest.raises(ValueError) as err:
+            ckpt_io.load(path)
+        assert type(err.value) is ValueError
+        assert str(path) in str(err.value)
+        assert reason in str(err.value)
+
+
+def test_importing_a_submodule_binds_the_module():
+    import hymoe.upcycle as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.upcycle is upcycle

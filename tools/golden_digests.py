@@ -92,7 +92,8 @@ def shape_digests(shape: dict) -> dict:
     from hymoe.token_moe import TokenMoEConfig
     from hymoe.training import TrainConfig, training_step
 
-    # The module, not the function that the package __init__ binds to its name.
+    # Imported by name so that a source tree whose package __init__ rebinds
+    # ``hymoe.upcycle`` to the function still yields the module.
     module = importlib.import_module("hymoe.upcycle")
     dense = init_dense(DenseConfig(), seed=DENSE_SEED)
     hidden = dense.config.hidden_size
